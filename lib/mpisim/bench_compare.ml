@@ -15,10 +15,14 @@
      *_per_second         higher is better (bandwidth)
      speedup, *_speedup   higher is better
      *_peak_elems         lower is better (scratch-memory ceilings)
+     *minor_words         lower is better (minor-heap allocation)
 
    Metrics containing "wall" measure the host machine rather than the
    model and are skipped by default: only the deterministic modelled
-   numbers are stable enough for a hard CI gate. *)
+   numbers are stable enough for a hard CI gate.  Allocation counts are
+   deterministic too, so they are gated at the much tighter
+   [alloc_tolerance]: a few words more per message is a real regression,
+   not noise. *)
 
 type direction = Lower_better | Higher_better
 
@@ -36,9 +40,14 @@ let metric_direction name =
   else if has_suffix name "_per_second" then Some Higher_better
   else if name = "speedup" || has_suffix name "_speedup" then Some Higher_better
   else if has_suffix name "_peak_elems" then Some Lower_better
+  else if has_suffix name "minor_words" then Some Lower_better
   else None
 
 let is_wall name = contains name "wall"
+
+let is_alloc name = has_suffix name "minor_words"
+
+let alloc_tolerance = 0.01
 
 type record = {
   r_bench : string;
@@ -127,6 +136,7 @@ let diff ?(tolerance = 0.10) ?(include_wall = false) ~baseline ~current () =
                   if is_wall metric && not include_wall then incr skipped_wall
                   else begin
                     incr compared;
+                    let tolerance = if is_alloc metric then alloc_tolerance else tolerance in
                     let dir = Option.get (metric_direction metric) in
                     let ratio =
                       if ov <> 0. then nv /. ov

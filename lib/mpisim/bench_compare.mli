@@ -5,7 +5,8 @@
     plus every non-metric field); each shared metric is compared under a
     relative tolerance.  Metric fields and their better-direction are
     recognized by naming convention: [*_seconds] and [*_peak_elems] lower
-    is better, [*_per_second] and [speedup]/[*_speedup] higher is better.
+    is better, [*_per_second] and [speedup]/[*_speedup] higher is better,
+    names ending in [minor_words] (allocation counts) lower is better.
     Metrics containing ["wall"] measure the host machine and are skipped
     unless [include_wall] is set. *)
 
@@ -50,8 +51,9 @@ type verdict = {
 }
 
 (** Compare [current] against [baseline] under a relative [tolerance]
-    (default 10%).  Current records without a baseline are counted, not
-    failed, so new benchmarks never break the gate. *)
+    (default 10%); allocation counts are always gated at 1%.
+    Current records without a baseline are counted, not failed, so new
+    benchmarks never break the gate. *)
 val diff :
   ?tolerance:float ->
   ?include_wall:bool ->

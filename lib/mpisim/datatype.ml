@@ -31,10 +31,25 @@ type kind = Builtin | Derived
    direct-store loop — no closure dispatch, no [Wire] cursor updates per
    element.  The kernel is chosen once when the type is constructed (for
    builtins, that is commit time: they are born committed), so the
-   per-message cost of the dispatch is a single branch. *)
+   per-message cost of the dispatch is a single branch.
+
+   Builtins also carry a run kernel ([bk_run]): whole-run loops written
+   against the concrete array type, so the element accessors inline and
+   a [float array] is read and written unboxed.  [rk_pack buf off src pos
+   count] stores [src.(pos) .. src.(pos + count - 1)] at [off];
+   [rk_unpack buf off dst pos count] loads them into [dst]; [rk_alloc n]
+   makes an [n]-element array of the right representation (a flat float
+   array for floats) for [rk_unpack] to fill. *)
+type 'a run_kernel = {
+  rk_pack : Bytes.t -> int -> 'a array -> int -> int -> unit;
+  rk_unpack : Bytes.t -> int -> 'a array -> int -> int -> unit;
+  rk_alloc : int -> 'a array;
+}
+
 type 'a bulk_kernel = {
   bk_write : Bytes.t -> int -> 'a -> unit;
   bk_read : Bytes.t -> int -> 'a;
+  bk_run : 'a run_kernel option;
 }
 
 type 'a t = {
@@ -116,7 +131,10 @@ let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
   }
 
 (* Each builtin kernel must produce exactly the bytes its [Wire] put/get
-   pair would — the fast-path≡general-path qcheck property enforces this. *)
+   pair would — the fast-path≡general-path qcheck property enforces this.
+   The run loops repeat the per-element accessors on purpose: written
+   against the concrete array type, they compile to direct loads and
+   stores with no closure call and no boxing. *)
 
 let int : int t =
   builtin ~name:"int" ~size:8
@@ -126,6 +144,23 @@ let int : int t =
       {
         bk_write = (fun b p v -> Bytes.set_int64_le b p (Int64.of_int v));
         bk_read = (fun b p -> Int64.to_int (Bytes.get_int64_le b p));
+        bk_run =
+          Some
+            {
+              rk_pack =
+                (fun b off (src : int array) pos n ->
+                  for i = 0 to n - 1 do
+                    Bytes.set_int64_le b (off + (i * 8))
+                      (Int64.of_int (Array.unsafe_get src (pos + i)))
+                  done);
+              rk_unpack =
+                (fun b off (dst : int array) pos n ->
+                  for i = 0 to n - 1 do
+                    Array.unsafe_set dst (pos + i)
+                      (Int64.to_int (Bytes.get_int64_le b (off + (i * 8))))
+                  done);
+              rk_alloc = (fun n -> Array.make n 0);
+            };
       }
 
 let int32 : int32 t =
@@ -133,14 +168,50 @@ let int32 : int32 t =
     ~signature:(Signature.of_base Signature.Int32)
     ~pack:Wire.put_int32 ~unpack:Wire.get_int32
     ~bulk:
-      { bk_write = (fun b p v -> Bytes.set_int32_le b p v); bk_read = Bytes.get_int32_le }
+      {
+        bk_write = (fun b p v -> Bytes.set_int32_le b p v);
+        bk_read = Bytes.get_int32_le;
+        bk_run =
+          Some
+            {
+              rk_pack =
+                (fun b off (src : int32 array) pos n ->
+                  for i = 0 to n - 1 do
+                    Bytes.set_int32_le b (off + (i * 4)) (Array.unsafe_get src (pos + i))
+                  done);
+              rk_unpack =
+                (fun b off (dst : int32 array) pos n ->
+                  for i = 0 to n - 1 do
+                    Array.unsafe_set dst (pos + i) (Bytes.get_int32_le b (off + (i * 4)))
+                  done);
+              rk_alloc = (fun n -> Array.make n 0l);
+            };
+      }
 
 let int64 : int64 t =
   builtin ~name:"int64" ~size:8
     ~signature:(Signature.of_base Signature.Int64)
     ~pack:Wire.put_int64 ~unpack:Wire.get_int64
     ~bulk:
-      { bk_write = (fun b p v -> Bytes.set_int64_le b p v); bk_read = Bytes.get_int64_le }
+      {
+        bk_write = (fun b p v -> Bytes.set_int64_le b p v);
+        bk_read = Bytes.get_int64_le;
+        bk_run =
+          Some
+            {
+              rk_pack =
+                (fun b off (src : int64 array) pos n ->
+                  for i = 0 to n - 1 do
+                    Bytes.set_int64_le b (off + (i * 8)) (Array.unsafe_get src (pos + i))
+                  done);
+              rk_unpack =
+                (fun b off (dst : int64 array) pos n ->
+                  for i = 0 to n - 1 do
+                    Array.unsafe_set dst (pos + i) (Bytes.get_int64_le b (off + (i * 8)))
+                  done);
+              rk_alloc = (fun n -> Array.make n 0L);
+            };
+      }
 
 let float : float t =
   builtin ~name:"float" ~size:8
@@ -150,6 +221,23 @@ let float : float t =
       {
         bk_write = (fun b p v -> Bytes.set_int64_le b p (Int64.bits_of_float v));
         bk_read = (fun b p -> Int64.float_of_bits (Bytes.get_int64_le b p));
+        bk_run =
+          Some
+            {
+              rk_pack =
+                (fun b off (src : float array) pos n ->
+                  for i = 0 to n - 1 do
+                    Bytes.set_int64_le b (off + (i * 8))
+                      (Int64.bits_of_float (Array.unsafe_get src (pos + i)))
+                  done);
+              rk_unpack =
+                (fun b off (dst : float array) pos n ->
+                  for i = 0 to n - 1 do
+                    Array.unsafe_set dst (pos + i)
+                      (Int64.float_of_bits (Bytes.get_int64_le b (off + (i * 8))))
+                  done);
+              rk_alloc = Array.create_float;
+            };
       }
 
 let float32 : float t =
@@ -160,10 +248,45 @@ let float32 : float t =
       {
         bk_write = (fun b p v -> Bytes.set_int32_le b p (Int32.bits_of_float v));
         bk_read = (fun b p -> Int32.float_of_bits (Bytes.get_int32_le b p));
+        bk_run =
+          Some
+            {
+              rk_pack =
+                (fun b off (src : float array) pos n ->
+                  for i = 0 to n - 1 do
+                    Bytes.set_int32_le b (off + (i * 4))
+                      (Int32.bits_of_float (Array.unsafe_get src (pos + i)))
+                  done);
+              rk_unpack =
+                (fun b off (dst : float array) pos n ->
+                  for i = 0 to n - 1 do
+                    Array.unsafe_set dst (pos + i)
+                      (Int32.float_of_bits (Bytes.get_int32_le b (off + (i * 4))))
+                  done);
+              rk_alloc = Array.create_float;
+            };
       }
 
 let char_kernel =
-  { bk_write = (fun b p c -> Bytes.unsafe_set b p c); bk_read = Bytes.get }
+  {
+    bk_write = (fun b p c -> Bytes.unsafe_set b p c);
+    bk_read = Bytes.get;
+    bk_run =
+      Some
+        {
+          rk_pack =
+            (fun b off (src : char array) pos n ->
+              for i = 0 to n - 1 do
+                Bytes.unsafe_set b (off + i) (Array.unsafe_get src (pos + i))
+              done);
+          rk_unpack =
+            (fun b off (dst : char array) pos n ->
+              for i = 0 to n - 1 do
+                Array.unsafe_set dst (pos + i) (Bytes.get b (off + i))
+              done);
+          rk_alloc = (fun n -> Array.make n '\000');
+        };
+  }
 
 let char : char t =
   builtin ~name:"char" ~size:1
@@ -175,6 +298,11 @@ let byte : char t =
     ~signature:(Signature.of_base Signature.Blob)
     ~pack:Wire.put_char ~unpack:Wire.get_char ~bulk:char_kernel
 
+let bool_of_byte = function
+  | '\000' -> false
+  | '\001' -> true
+  | c -> raise (Wire.Decode_error { what = "bool must be 0 or 1"; got = Char.code c })
+
 let bool : bool t =
   builtin ~name:"bool" ~size:1
     ~signature:(Signature.of_base Signature.Bool)
@@ -182,14 +310,23 @@ let bool : bool t =
     ~bulk:
       {
         bk_write = (fun b p v -> Bytes.set b p (if v then '\001' else '\000'));
-        bk_read =
-          (fun b p ->
-            match Bytes.get b p with
-            | '\000' -> false
-            | '\001' -> true
-            | c ->
-                raise
-                  (Wire.Decode_error { what = "bool must be 0 or 1"; got = Char.code c }));
+        bk_read = (fun b p -> bool_of_byte (Bytes.get b p));
+        bk_run =
+          Some
+            {
+              rk_pack =
+                (fun b off (src : bool array) pos n ->
+                  for i = 0 to n - 1 do
+                    Bytes.unsafe_set b (off + i)
+                      (if Array.unsafe_get src (pos + i) then '\001' else '\000')
+                  done);
+              rk_unpack =
+                (fun b off (dst : bool array) pos n ->
+                  for i = 0 to n - 1 do
+                    Array.unsafe_set dst (pos + i) (bool_of_byte (Bytes.get b (off + i)))
+                  done);
+              rk_alloc = (fun n -> Array.make n false);
+            };
       }
 
 (* ------------------------------------------------------------------ *)
@@ -248,6 +385,7 @@ let contiguous ~count (base : 'a t) : 'a array t =
                 done);
             bk_read =
               (fun buf pos -> Array.init count (fun i -> k.bk_read buf (pos + (i * sz))));
+            bk_run = None;
           }
   in
   create_k ~name ~size:(count * base.elem_size)
@@ -267,6 +405,7 @@ let pair (a : 'a t) (b : 'b t) : ('a * 'b) t =
                 ka.bk_write buf pos x;
                 kb.bk_write buf (pos + sza) y);
             bk_read = (fun buf pos -> (ka.bk_read buf pos, kb.bk_read buf (pos + sza)));
+            bk_run = None;
           }
     | _ -> None
   in
@@ -454,33 +593,38 @@ let blob ~name ~size ~(write : Bytes.t -> int -> 'a -> unit) ~(read : Bytes.t ->
   (* Single-pass, zero-copy: the value is written directly into (and read
      directly from) the wire buffer. *)
   let pack w v =
-    let buf, pos = Wire.reserve w size in
-    write buf pos v
+    let pos = Wire.reserve w size in
+    write (Wire.storage w) pos v
   in
   let unpack r =
-    let buf, pos = Wire.read_raw r size in
-    read buf pos
+    let pos = Wire.read_raw r size in
+    read (Wire.source r) pos
   in
   create_k ~name ~size
     ~signature:(Signature.of_base ~count:size Signature.Blob)
     ~pack ~unpack
-    ~bulk:(Some { bk_write = write; bk_read = read })
+    ~bulk:(Some { bk_write = write; bk_read = read; bk_run = None })
 
 (* ------------------------------------------------------------------ *)
 (* Array pack/unpack helpers used by the runtime *)
 
-(* Each helper dispatches ONCE on the type's kernel: the fast path does a
-   single [Wire.reserve]/[read_raw] for the whole run and a tight
-   direct-store loop; the general path keeps per-element closure calls
-   (derived/struct types, dynamic sizes). *)
+(* Each helper dispatches ONCE per message, to the best tier the type has:
+   the run kernel (one reservation, one monomorphic loop), else the
+   per-element kernel (one reservation, one closure call per element),
+   else the general path (per-element [pack]/[unpack] through the [Wire]
+   cursor: derived/struct types, dynamic sizes). *)
 
 let pack_array (t : 'a t) (w : Wire.writer) (a : 'a array) ~pos ~count =
   if pos < 0 || count < 0 || pos + count > Array.length a then
     invalid_arg "Datatype.pack_array: range out of bounds";
   match t.bulk with
+  | Some { bk_run = Some rk; _ } ->
+      let base = Wire.reserve w (count * t.elem_size) in
+      rk.rk_pack (Wire.storage w) base a pos count
   | Some k ->
       let sz = t.elem_size in
-      let buf, base = Wire.reserve w (count * sz) in
+      let base = Wire.reserve w (count * sz) in
+      let buf = Wire.storage w in
       let off = ref base in
       for i = pos to pos + count - 1 do
         k.bk_write buf !off (Array.unsafe_get a i);
@@ -494,9 +638,15 @@ let pack_array (t : 'a t) (w : Wire.writer) (a : 'a array) ~pos ~count =
 let unpack_array (t : 'a t) (r : Wire.reader) ~count : 'a array =
   if count < 0 then invalid_arg "Datatype.unpack_array: negative count";
   match t.bulk with
+  | Some { bk_run = Some rk; _ } ->
+      let base = Wire.read_raw r (count * t.elem_size) in
+      let a = rk.rk_alloc count in
+      rk.rk_unpack (Wire.source r) base a 0 count;
+      a
   | Some k ->
       let sz = t.elem_size in
-      let buf, base = Wire.read_raw r (count * sz) in
+      let base = Wire.read_raw r (count * sz) in
+      let buf = Wire.source r in
       Array.init count (fun i -> k.bk_read buf (base + (i * sz)))
   | None -> Array.init count (fun _ -> t.unpack r)
 
@@ -504,9 +654,13 @@ let unpack_into (t : 'a t) (r : Wire.reader) (dst : 'a array) ~pos ~count =
   if pos < 0 || count < 0 || pos + count > Array.length dst then
     invalid_arg "Datatype.unpack_into: range out of bounds";
   match t.bulk with
+  | Some { bk_run = Some rk; _ } ->
+      let base = Wire.read_raw r (count * t.elem_size) in
+      rk.rk_unpack (Wire.source r) base dst pos count
   | Some k ->
       let sz = t.elem_size in
-      let buf, base = Wire.read_raw r (count * sz) in
+      let base = Wire.read_raw r (count * sz) in
+      let buf = Wire.source r in
       let off = ref base in
       for i = pos to pos + count - 1 do
         Array.unsafe_set dst i (k.bk_read buf !off);

@@ -25,9 +25,10 @@ type kind = Builtin | Derived
 
 (** Bulk fast-path kernel for fixed-size, contiguously-encoded element
     types: one buffer reservation and a direct-store loop per element run,
-    no per-element closure dispatch.  Chosen once at type-construction
-    (= commit for builtins) time; [None] means the general per-element
-    path. *)
+    no per-element closure dispatch.  Builtins add a run kernel: whole-run
+    loops over the concrete array type that allocate nothing ([float]
+    arrays stay unboxed).  Chosen once at type-construction (= commit for
+    builtins) time; [None] means the general per-element path. *)
 type 'a bulk_kernel
 
 type 'a t = {
@@ -165,10 +166,11 @@ val blob :
 
 (** {1 Bulk helpers} *)
 
-(** The bulk helpers dispatch once on the type's kernel: builtins, [blob]
-    and fixed compositions of them ([contiguous], [pair]) take a
-    single-reservation fast path; everything else packs element by
-    element. *)
+(** The bulk helpers dispatch once per message on the type's kernel:
+    builtins run one monomorphic loop that allocates nothing (apart from
+    [unpack_array]'s result); [blob] and fixed compositions ([contiguous],
+    [pair]) take a single-reservation loop with one kernel call per
+    element; everything else packs element by element. *)
 
 val pack_array : 'a t -> Wire.writer -> 'a array -> pos:int -> count:int -> unit
 

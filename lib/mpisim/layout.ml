@@ -64,30 +64,28 @@ let rec extent = function
   | Offset (k, l) -> k + extent l
   | Concat ls -> List.fold_left (fun acc l -> max acc (extent l)) 0 ls
 
-(* Apply [f] to every selected position, in layout order. *)
-let iter_positions (layout : t) (f : int -> unit) =
+(* Apply [f start len] to every selected block of consecutive positions,
+   in layout order; empty blocks are skipped. *)
+let iter_blocks (layout : t) (f : int -> int -> unit) =
+  let block start len = if len > 0 then f start len in
   let rec go base = function
-    | Contiguous n ->
-        for i = 0 to n - 1 do
-          f (base + i)
-        done
+    | Contiguous n -> block base n
     | Vector { count; blocklen; stride } ->
         for b = 0 to count - 1 do
-          for i = 0 to blocklen - 1 do
-            f (base + (b * stride) + i)
-          done
+          block (base + (b * stride)) blocklen
         done
-    | Indexed blocks ->
-        List.iter
-          (fun (d, l) ->
-            for i = 0 to l - 1 do
-              f (base + d + i)
-            done)
-          blocks
+    | Indexed blocks -> List.iter (fun (d, l) -> block (base + d) l) blocks
     | Offset (k, l) -> go (base + k) l
     | Concat ls -> List.iter (go base) ls
   in
   go 0 layout
+
+(* Apply [f] to every selected position, in layout order. *)
+let iter_positions (layout : t) (f : int -> unit) =
+  iter_blocks layout (fun start len ->
+      for i = start to start + len - 1 do
+        f i
+      done)
 
 let positions layout =
   let acc = ref [] in
@@ -123,8 +121,12 @@ let scatter_into (layout : t) ~(packed : 'a array) (dst : 'a array) : unit =
       incr j)
 
 (* A datatype whose single element is the *whole flat array*, transferring
-   exactly the layout's selection.  Unpacking yields the packed selection
-   (use [scatter_into] to place it into strided storage). *)
+   exactly the layout's selection.  Each block of two or more elements goes
+   through [Datatype.pack_array], so a base with a run kernel copies it in
+   one loop instead of one closure call per element; a one-element block
+   is packed directly, skipping that call's dispatch.  Unpacking yields
+   the packed selection (use [scatter_into] to place it into strided
+   storage). *)
 let to_datatype (base : 'a Datatype.t) (layout : t) : 'a array Datatype.t =
   let n = element_count layout in
   Datatype.create
@@ -134,5 +136,7 @@ let to_datatype (base : 'a Datatype.t) (layout : t) : 'a array Datatype.t =
     ~pack:(fun w src ->
       if extent layout > Array.length src then
         Errdefs.usage_error "layout pack: extent exceeds array length";
-      iter_positions layout (fun i -> base.Datatype.pack w src.(i)))
+      iter_blocks layout (fun pos count ->
+          if count = 1 then base.Datatype.pack w src.(pos)
+          else Datatype.pack_array base w src ~pos ~count))
     ~unpack:(fun r -> Datatype.unpack_array base r ~count:n)

@@ -224,14 +224,17 @@ let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
 
 let check_signature comm (dt : 'a Datatype.t) (msg : Message.t) ~op =
   let rt = Comm.runtime comm in
-  if rt.Runtime.assertion_level >= 1 then begin
-    let expected = Datatype.signature_of_count dt msg.Message.count in
-    if not (Signature.matches expected msg.Message.signature) then
-      Comm.error comm Errdefs.Err_type
-        "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
-        (Signature.to_string expected) msg.Message.src
-        (Signature.to_string msg.Message.signature)
-  end
+  if
+    rt.Runtime.assertion_level >= 1
+    && not
+         (Signature.matches_repeat msg.Message.signature ~unit:dt.Datatype.signature
+            msg.Message.count)
+  then
+    Comm.error comm Errdefs.Err_type
+      "%s: type signature mismatch: receiving as %s but message from rank %d has %s" op
+      (Signature.to_string (Datatype.signature_of_count dt msg.Message.count))
+      msg.Message.src
+      (Signature.to_string msg.Message.signature)
 
 (* Wait until the posted receive [p] matches, also waking on source failure.
    Returns the matched message or raises. *)

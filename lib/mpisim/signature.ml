@@ -49,12 +49,31 @@ let append (a : t) (b : t) : t =
 
 let concat (xs : t list) : t = List.fold_left append empty xs
 
+let rec last_run = function
+  | [ r ] -> r
+  | _ :: rest -> last_run rest
+  | [] -> invalid_arg "Signature.last_run"
+
+(* [n] copies of [s] in one pass, O(n * |s|): built back to front, each
+   copy's reversed runs are pushed onto the accumulator, and a copy's last
+   run absorbs the next copy's first run when the two bases agree (the
+   merge [append] would make at that boundary). *)
 let repeat (s : t) n : t =
   if n < 0 then invalid_arg "Signature.repeat";
-  let rec go acc k = if k = 0 then acc else go (append acc s) (k - 1) in
   match s with
+  | [] -> empty
   | [ (b, c) ] -> of_base ~count:(c * n) b
-  | _ -> go empty n
+  | _ ->
+      let rs = List.rev s in
+      let rec go acc k =
+        if k = 0 then acc
+        else
+          match (rs, acc) with
+          | (bl, cl) :: rs', (bf, cf) :: acc' when bl = bf ->
+              go (List.rev_append rs' ((bl, cl + cf) :: acc')) (k - 1)
+          | _ -> go (List.rev_append rs acc) (k - 1)
+      in
+      go empty n
 
 let size_in_bytes (s : t) =
   List.fold_left (fun acc (b, c) -> acc + (base_size b * c)) 0 s
@@ -63,6 +82,35 @@ let size_in_bytes (s : t) =
    that Blob runs match Blob runs with equal *byte* counts regardless of
    segmentation (both sides count bytes). *)
 let matches (a : t) (b : t) = a = b
+
+(* [matches_repeat s ~unit n] is [matches s (repeat unit n)], decided by
+   walking [s] against the runs [repeat] would produce, without building
+   them: the receive-side check allocates nothing.  [join] says whether a
+   copy's last run absorbs the next copy's first run ([first] is that run's
+   count); [k] counts the copies still to come after the current one. *)
+let rec walk_repeat unit ~join ~first k (s : t) (u : t) =
+  match (u, s) with
+  | [], [] -> k = 0
+  | [], _ -> k > 0 && walk_repeat unit ~join ~first (k - 1) s unit
+  | [ (b, c) ], (b', c') :: s' when join && k > 0 ->
+      b = b' && c + first = c' && walk_repeat unit ~join ~first (k - 1) s' (List.tl unit)
+  | (b, c) :: u', (b', c') :: s' -> b = b' && c = c' && walk_repeat unit ~join ~first k s' u'
+  | _ :: _, [] -> false
+
+let matches_repeat (s : t) ~(unit : t) n =
+  if n < 0 then invalid_arg "Signature.matches_repeat";
+  match unit with
+  | [] -> s = []
+  | [ (b, c) ] -> (
+      match s with
+      | [] -> c * n = 0
+      | [ (b', c') ] -> c * n <> 0 && b = b' && c * n = c'
+      | _ -> false)
+  | (bf, cf) :: _ ->
+      if n = 0 then s = []
+      else
+        let bl, _ = last_run unit in
+        walk_repeat unit ~join:(bf = bl) ~first:cf (n - 1) s unit
 
 (* Receive-side compatibility: a receive of signature [recv] repeated enough
    times may be longer than the incoming data in MPI; we instead require the

@@ -29,12 +29,18 @@ val append : t -> t -> t
 
 val concat : t list -> t
 
+(** [repeat s n]: [n] copies of [s], normalized at the copy boundaries;
+    one pass, O(n * |s|). *)
 val repeat : t -> int -> t
 
 val size_in_bytes : t -> int
 
 (** Structural equality of normalized signatures. *)
 val matches : t -> t -> bool
+
+(** [matches_repeat s ~unit n] = [matches s (repeat unit n)], decided
+    without building the repetition (allocates nothing). *)
+val matches_repeat : t -> unit:t -> int -> bool
 
 val pp : Format.formatter -> t -> unit
 

@@ -52,14 +52,17 @@ let put_uint8 w i =
   if i < 0 || i > 255 then invalid_arg "Wire.put_uint8";
   put_char w (Char.unsafe_chr i)
 
-let put_int64 w (v : int64) =
+(* The int64/int32 codecs are inlined into the int and float wrappers
+   below: an int64 or int32 crossing a function call is boxed, and the
+   general datatype path calls these once per element. *)
+let[@inline] put_int64 w (v : int64) =
   ensure w 8;
   Bytes.set_int64_le w.buf w.len v;
   w.len <- w.len + 8
 
 let put_int w (v : int) = put_int64 w (Int64.of_int v)
 
-let put_int32 w (v : int32) =
+let[@inline] put_int32 w (v : int32) =
   ensure w 4;
   Bytes.set_int32_le w.buf w.len v;
   w.len <- w.len + 4
@@ -90,14 +93,18 @@ let put_padding w n =
   Bytes.fill w.buf w.len n '\000';
   w.len <- w.len + n
 
-(* Reserve [len] bytes and return (storage, offset) for in-place writing —
-   the single-bulk-copy path for trivially-copyable types. *)
-let reserve w len : Bytes.t * int =
+(* Reserve [len] bytes for in-place writing and return their offset in
+   [storage w] — the single-bulk-copy path for trivially-copyable types.
+   Offset and storage come separately so the hot path builds no tuple;
+   read [storage w] after [reserve], which may grow it. *)
+let reserve w len =
   if len < 0 then invalid_arg "Wire.reserve";
   ensure w len;
   let pos = w.len in
   w.len <- pos + len;
-  (w.buf, pos)
+  pos
+
+let storage w = w.buf
 
 let contents w = Bytes.sub w.buf 0 w.len
 
@@ -130,7 +137,7 @@ let get_char r =
 
 let get_uint8 r = Char.code (get_char r)
 
-let get_int64 r =
+let[@inline] get_int64 r =
   check r 8;
   let v = Bytes.get_int64_le r.data r.pos in
   r.pos <- r.pos + 8;
@@ -138,7 +145,7 @@ let get_int64 r =
 
 let get_int r = Int64.to_int (get_int64 r)
 
-let get_int32 r =
+let[@inline] get_int32 r =
   check r 4;
   let v = Bytes.get_int32_le r.data r.pos in
   r.pos <- r.pos + 4;
@@ -171,14 +178,16 @@ let skip r n =
   check r n;
   r.pos <- r.pos + n
 
-(* Zero-copy read access: returns (storage, offset) of the next [len]
-   bytes and advances the cursor.  The storage must not be mutated. *)
-let read_raw r len : Bytes.t * int =
+(* Zero-copy read access: returns the offset of the next [len] bytes in
+   [source r] and advances the cursor.  The source must not be mutated. *)
+let read_raw r len =
   if len < 0 then invalid_arg "Wire.read_raw";
   check r len;
   let pos = r.pos in
   r.pos <- pos + len;
-  (r.data, pos)
+  pos
+
+let source r = r.data
 
 (* ------------------------------------------------------------------ *)
 (* Writer-storage pool.

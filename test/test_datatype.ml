@@ -84,6 +84,88 @@ let test_signature_mismatch_detected () =
      caught := true);
   Alcotest.(check bool) "type mismatch raises ERR_TYPE" true !caught
 
+(* Records of equal size but different field order: the receive check
+   walks the message signature against the receive type's one, so it must
+   still tell them apart, and still let an empty message through. *)
+let test_record_layout_mismatch () =
+  let sent = Datatype.pair Datatype.int Datatype.float in
+  let swapped = Datatype.pair Datatype.float Datatype.int in
+  Datatype.commit sent;
+  Datatype.commit swapped;
+  Alcotest.(check int) "same element size" (Datatype.elem_size sent)
+    (Datatype.elem_size swapped);
+  let exchange recv_dt n =
+    match
+      Engine.run ~ranks:2 (fun comm ->
+          if Comm.rank comm = 0 then
+            P2p.send comm sent ~dest:1 (Array.init n (fun i -> (i, float_of_int i)))
+          else ignore (P2p.recv comm recv_dt ~source:0 ()))
+    with
+    | _ -> `Ok
+    | exception Scheduler.Aborted { exn = Errdefs.Mpi_error { code = Errdefs.Err_type; _ }; _ }
+      ->
+        `Err_type
+  in
+  Alcotest.(check bool) "swapped fields raise ERR_TYPE" true (exchange swapped 3 = `Err_type);
+  Alcotest.(check bool) "same layout matches" true (exchange sent 3 = `Ok);
+  Alcotest.(check bool) "count 0 is accepted" true (exchange swapped 0 = `Ok);
+  Datatype.free sent;
+  Datatype.free swapped
+
+(* The append-fold [Signature.repeat] was before it became linear: one
+   normalizing [append] per copy, O(n^2) for multi-run units.  Kept here as
+   the oracle for the one-pass version. *)
+let repeat_by_append (s : Signature.t) n =
+  let rec go acc k = if k = 0 then acc else go (Signature.append acc s) (k - 1) in
+  match s with [ (b, c) ] -> Signature.of_base ~count:(c * n) b | _ -> go Signature.empty n
+
+(* Normalized units of 1..6 runs; half of them end on the base they start
+   with, so the copies merge at every boundary. *)
+let gen_unit =
+  let open QCheck.Gen in
+  let base = oneofl Signature.[ Int64; Int32; Float64; Float32; Char; Bool; Blob ] in
+  list_size (int_range 1 5) (pair base (int_range 1 4)) >>= fun runs ->
+  bool >|= fun close ->
+  let runs = if close then runs @ [ (fst (List.hd runs), 1) ] else runs in
+  Signature.concat (List.map (fun (b, c) -> Signature.of_base ~count:c b) runs)
+
+let arb_unit_n =
+  QCheck.make
+    ~print:(fun (u, n) -> Printf.sprintf "%s x %d" (Signature.to_string u) n)
+    QCheck.Gen.(pair gen_unit (int_range 0 300))
+
+let prop_repeat_linear_equals_fold =
+  QCheck.Test.make ~name:"Signature.repeat = append fold" ~count:300 arb_unit_n
+    (fun (u, n) -> Signature.repeat u n = repeat_by_append u n)
+
+(* [matches_repeat] against building the repetition, on the exact
+   repetition and on near misses: another count, another unit, one run
+   count off by one. *)
+let prop_matches_repeat_equals_build =
+  let open QCheck.Gen in
+  let bump (s : Signature.t) i = List.mapi (fun j (b, c) -> if i = j then (b, c + 1) else (b, c)) s in
+  let gen =
+    gen_unit >>= fun u ->
+    int_range 0 300 >>= fun n ->
+    oneof
+      [
+        return (Signature.repeat u n);
+        map (Signature.repeat u) (int_range 0 300);
+        map (fun u' -> Signature.repeat u' n) gen_unit;
+        (let s = Signature.repeat u n in
+         map (bump s) (int_bound (max 0 (List.length s - 1))));
+      ]
+    >|= fun s -> (u, n, s)
+  in
+  QCheck.Test.make ~name:"Signature.matches_repeat = matches (repeat ...)" ~count:400
+    (QCheck.make
+       ~print:(fun (u, n, s) ->
+         Printf.sprintf "unit %s x %d vs %s" (Signature.to_string u) n
+           (Signature.to_string s))
+       gen)
+    (fun (u, n, s) ->
+      Signature.matches_repeat s ~unit:u n = Signature.matches s (repeat_by_append u n))
+
 let test_blob_matches_any_blob () =
   (* byte <-> blob of equal total size must match (MPI_BYTE semantics). *)
   let sig_a = Signature.of_base ~count:24 Signature.Blob in
@@ -225,49 +307,71 @@ let test_bulk_dispatch () =
   Alcotest.(check bool) "without_bulk strips the kernel" false
     (Datatype.bulk_available (Datatype.without_bulk Datatype.int))
 
-let bulk_equiv (type elt) ?(eq : elt -> elt -> bool = ( = )) (dt : elt Datatype.t)
-    (v : elt array) : bool =
-  let count = Array.length v in
+(* Pack the window [v.(pos) .. v.(pos + count - 1)] through the bulk
+   kernel and through the general path: the images must agree, and each
+   must unpack through either path, by [unpack_array] and by [unpack_into]
+   at [dst_pos] of a larger array (whose other cells stay untouched), to
+   the window as the wire format decodes it ([norm]). *)
+let bulk_equiv (type elt) ?(eq : elt -> elt -> bool = ( = )) ?(norm : elt -> elt = Fun.id)
+    (dt : elt Datatype.t) ((v : elt array), pos, count, dst_pos) : bool =
   let general = Datatype.without_bulk dt in
   let pack_image d =
     let w = Wire.create_writer () in
-    Datatype.pack_array d w v ~pos:0 ~count;
+    Datatype.pack_array d w v ~pos ~count;
     Wire.contents w
   in
   let img_fast = pack_image dt and img_general = pack_image general in
+  let expected = Array.map norm (Array.sub v pos count) in
   let arr_eq a b = Array.length a = Array.length b && Array.for_all2 eq a b in
-  (* Cross-unpack both images through both paths, plus the in-place
-     variant through the fast path. *)
-  let into =
-    let buf = Array.make count (Datatype.zero_elem dt) in
-    Datatype.unpack_into dt (Wire.reader_of_bytes img_general) buf ~pos:0 ~count;
-    buf
+  let into d img =
+    let z = Datatype.zero_elem dt in
+    let len = dst_pos + count + 2 in
+    let buf = Array.make len z in
+    Datatype.unpack_into d (Wire.reader_of_bytes img) buf ~pos:dst_pos ~count;
+    arr_eq expected (Array.sub buf dst_pos count)
+    && Array.for_all (eq z) (Array.sub buf 0 dst_pos)
+    && Array.for_all (eq z) (Array.sub buf (dst_pos + count) 2)
   in
   Bytes.equal img_fast img_general
-  && arr_eq v (Datatype.unpack_array dt (Wire.reader_of_bytes img_general) ~count)
-  && arr_eq v (Datatype.unpack_array general (Wire.reader_of_bytes img_fast) ~count)
-  && arr_eq v into
+  && arr_eq expected (Datatype.unpack_array dt (Wire.reader_of_bytes img_general) ~count)
+  && arr_eq expected (Datatype.unpack_array general (Wire.reader_of_bytes img_fast) ~count)
+  && into dt img_general && into general img_fast
 
 let float_bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let to_float32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
 let prop_bulk_equals_general =
   let open QCheck in
-  let arr ?(n = 32) g = Gen.(array_size (int_bound n) g) in
+  let window ?(n = 32) g =
+    Gen.(
+      array_size (int_bound n) g >>= fun v ->
+      let len = Array.length v in
+      int_range 0 len >>= fun pos ->
+      int_range 0 (len - pos) >>= fun count ->
+      int_bound 3 >|= fun dst_pos -> (v, pos, count, dst_pos))
+  in
   let gen =
     Gen.oneof
       [
-        Gen.map (fun a -> `Int a) (arr Gen.int);
-        Gen.map (fun a -> `Float a) (arr Gen.float);
-        Gen.map (fun a -> `Char a) (arr Gen.char);
-        Gen.map (fun a -> `Bool a) (arr Gen.bool);
-        Gen.map (fun a -> `Pair a) (arr ~n:16 Gen.(pair int float));
-        Gen.map (fun a -> `Rows a) (arr ~n:8 Gen.(array_size (return 3) int));
+        Gen.map (fun a -> `Int a) (window Gen.int);
+        Gen.map (fun a -> `Int32 a) (window Gen.int32);
+        Gen.map (fun a -> `Int64 a) (window Gen.int64);
+        Gen.map (fun a -> `Float a) (window Gen.float);
+        Gen.map (fun a -> `Float32 a) (window Gen.float);
+        Gen.map (fun a -> `Char a) (window Gen.char);
+        Gen.map (fun a -> `Bool a) (window Gen.bool);
+        Gen.map (fun a -> `Pair a) (window ~n:16 Gen.(pair int float));
+        Gen.map (fun a -> `Rows a) (window ~n:8 Gen.(array_size (return 3) int));
       ]
   in
-  QCheck.Test.make ~name:"bulk fast path = general path (wire images)" ~count:300
+  QCheck.Test.make ~name:"bulk fast path = general path (wire images)" ~count:500
     (QCheck.make gen) (function
     | `Int a -> bulk_equiv Datatype.int a
+    | `Int32 a -> bulk_equiv Datatype.int32 a
+    | `Int64 a -> bulk_equiv Datatype.int64 a
     | `Float a -> bulk_equiv ~eq:float_bits_eq Datatype.float a
+    | `Float32 a -> bulk_equiv ~eq:float_bits_eq ~norm:to_float32 Datatype.float32 a
     | `Char a -> bulk_equiv Datatype.char a
     | `Bool a -> bulk_equiv Datatype.bool a
     | `Pair a ->
@@ -276,6 +380,55 @@ let prop_bulk_equals_general =
           (Datatype.pair Datatype.int Datatype.float)
           a
     | `Rows a -> bulk_equiv (Datatype.contiguous ~count:3 Datatype.int) a)
+
+(* Words allocated by [f ()], minor and major heap together (a
+   4096-element array is allocated straight into the major heap), net of
+   what reading the counters costs. *)
+let allocated_words f =
+  let total () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let measure f =
+    let before = total () in
+    let r = f () in
+    (total () -. before, r)
+  in
+  let overhead, () = measure ignore in
+  let words, r = measure f in
+  (words -. overhead, r)
+
+(* The run kernels allocate nothing per element or per message: a pack
+   followed by an [unpack_into] of a whole array allocates no word, and
+   [unpack_array] allocates exactly its result. *)
+let test_run_kernels_allocate_nothing () =
+  let check (type a) name (dt : a Datatype.t) (src : a array) =
+    let n = Array.length src in
+    let w = Wire.create_writer ~capacity:(Datatype.size_of_count dt n) () in
+    let dst = Array.copy src in
+    let round () =
+      let buf, _ = Wire.unsafe_contents w in
+      Wire.reset w;
+      let r = Wire.reader_of_bytes ~len:(Datatype.size_of_count dt n) buf in
+      fst
+        (allocated_words (fun () ->
+             Datatype.pack_array dt w src ~pos:0 ~count:n;
+             Datatype.unpack_into dt r dst ~pos:0 ~count:n))
+    in
+    ignore (round ());
+    Alcotest.(check (float 0.)) (name ^ ": pack + unpack_into") 0. (round ());
+    let r = Wire.reader_of_bytes (Wire.contents w) in
+    let words, result =
+      allocated_words (fun () -> Datatype.unpack_array dt r ~count:n)
+    in
+    Alcotest.(check (float 0.))
+      (name ^ ": unpack_array allocates its result only")
+      (float_of_int (Obj.reachable_words (Obj.repr result)))
+      words;
+    Alcotest.(check bool) (name ^ ": unpacked = packed") true (result = src)
+  in
+  check "int" Datatype.int (Array.init 4096 (fun i -> (i * 7919) - 1_000_000));
+  check "float" Datatype.float (Array.init 4096 (fun i -> float_of_int i /. 7.))
 
 let test_gapped_vs_blob_sizes () =
   let gapped =
@@ -298,6 +451,9 @@ let tests =
     Alcotest.test_case "with_committed scopes" `Quick test_with_committed_scopes;
     Alcotest.test_case "uncommitted send rejected" `Quick test_uncommitted_send_rejected;
     Alcotest.test_case "signature mismatch" `Quick test_signature_mismatch_detected;
+    Alcotest.test_case "record layout mismatch" `Quick test_record_layout_mismatch;
+    qtest prop_repeat_linear_equals_fold;
+    qtest prop_matches_repeat_equals_build;
     Alcotest.test_case "blob signature normalization" `Quick test_blob_matches_any_blob;
     Alcotest.test_case "zero-count signature" `Quick test_signature_zero_count;
     Alcotest.test_case "signature normalization" `Quick test_signature_normalization;
@@ -307,6 +463,7 @@ let tests =
     Alcotest.test_case "gapped struct size" `Quick test_gapped_vs_blob_sizes;
     Alcotest.test_case "bulk kernel dispatch" `Quick test_bulk_dispatch;
     qtest prop_bulk_equals_general;
+    Alcotest.test_case "run kernels allocate nothing" `Quick test_run_kernels_allocate_nothing;
     qtest prop_record_roundtrip;
     qtest prop_pair_roundtrip;
     qtest prop_triple_roundtrip;

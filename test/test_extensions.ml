@@ -43,6 +43,49 @@ let prop_layout_extract_scatter_inverse =
         (Array.init n (fun i ->
              if List.mem i sel then dst.(i) = src.(i) else dst.(i) = -1)))
 
+(* [Layout.to_datatype] packs each block through the base's run kernel; the
+   wire image must be the one per-element packing gives, for strided,
+   indexed and shifted layouts alike, and it must unpack to [extract]. *)
+let prop_layout_blocks_equal_elements =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map3
+            (fun count blocklen gap -> Layout.vector ~count ~blocklen ~stride:(blocklen + gap))
+            (int_bound 5) (int_bound 4) (int_bound 3);
+          map Layout.indexed (list_size (int_bound 5) (pair (int_bound 20) (int_bound 4)));
+          map2
+            (fun k (count, blocklen) -> Layout.offset k (Layout.vector ~count ~blocklen ~stride:(blocklen + 1)))
+            (int_bound 6)
+            (pair (int_bound 4) (int_bound 3));
+        ])
+  in
+  let per_element (type b) (base : b Datatype.t) l (src : b array) =
+    let w = Wire.create_writer () in
+    Layout.iter_positions l (fun i -> base.Datatype.pack w src.(i));
+    Wire.contents w
+  in
+  let check (type a) (base : a Datatype.t) l (src : a array) =
+    let image dt =
+      let w = Wire.create_writer () in
+      dt.Datatype.pack w src;
+      Wire.contents w
+    in
+    let img = image (Layout.to_datatype base l) in
+    let unpacked =
+      (Layout.to_datatype base l).Datatype.unpack (Wire.reader_of_bytes img)
+    in
+    Bytes.equal img (per_element base l src)
+    && Bytes.equal img (image (Layout.to_datatype (Datatype.without_bulk base) l))
+    && unpacked = Layout.extract l src
+  in
+  QCheck.Test.make ~name:"layout datatype: block copy = per-element pack" ~count:200
+    (QCheck.make gen) (fun l ->
+      let n = Layout.extent l + 2 in
+      check Datatype.int l (Array.init n (fun i -> (i * 31) - 7))
+      && check Datatype.float l (Array.init n (fun i -> float_of_int i *. 0.5)))
+
 let test_layout_datatype_halo_exchange () =
   (* Send every 3rd element of a strip to a neighbor via a layout
      datatype: the MPL-style use case. *)
@@ -248,6 +291,7 @@ let tests =
     Alcotest.test_case "layout extract/scatter" `Quick test_layout_extract_scatter;
     Alcotest.test_case "layout concat/offset" `Quick test_layout_concat_offset;
     qtest prop_layout_extract_scatter_inverse;
+    qtest prop_layout_blocks_equal_elements;
     Alcotest.test_case "layout datatype halo" `Quick test_layout_datatype_halo_exchange;
     qtest prop_grid_kd_equals_dense;
     Alcotest.test_case "grid kd factorization" `Quick test_grid_kd_factorization;

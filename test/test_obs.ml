@@ -556,6 +556,30 @@ let test_bench_compare_verdicts () =
     (Bench_compare.has_regressions vi);
   Alcotest.(check int) "improvements counted" 2 (List.length vi.Bench_compare.improvements)
 
+(* Allocation counts are deterministic, so they are gated tightly: a 2%
+   rise in one layer's minor words must fail the diff even though the
+   default tolerance for other metrics is 10%. *)
+let test_bench_compare_alloc_gate () =
+  Alcotest.(check bool) "minor_words is a lower-better metric" true
+    (Bench_compare.metric_direction "pack_minor_words" = Some Bench_compare.Lower_better);
+  let record words seconds =
+    [
+      mk "layers" [ ("layer", "pack") ] [ ("msg_minor_words", words); ("sim_seconds", seconds) ];
+    ]
+  in
+  let baseline = record 1000. 1.0 in
+  let regressed = Bench_compare.diff ~baseline ~current:(record 1020. 1.05) () in
+  Alcotest.(check bool) "seeded 2% allocation regression fails" true
+    (Bench_compare.has_regressions regressed);
+  Alcotest.(check (list string)) "only the allocation metric is flagged"
+    [ "msg_minor_words" ]
+    (List.map (fun d -> d.Bench_compare.d_metric) regressed.Bench_compare.regressions);
+  Alcotest.(check bool) "identical counts pass" false
+    (Bench_compare.has_regressions (Bench_compare.diff ~baseline ~current:baseline ()));
+  Alcotest.(check bool) "fewer words is an improvement" false
+    (Bench_compare.has_regressions
+       (Bench_compare.diff ~baseline ~current:(record 900. 1.0) ()))
+
 let test_bench_compare_identity_and_wall () =
   let baseline =
     [ mk "coll" [ ("ranks", "64") ] [ ("sim_seconds", 1.0); ("median_wall_seconds", 1.0) ] ]
@@ -619,6 +643,7 @@ let tests =
     Alcotest.test_case "json_in truncated input" `Quick test_json_in_truncated;
     Alcotest.test_case "bench compare directions" `Quick test_bench_compare_directions;
     Alcotest.test_case "bench compare verdicts" `Quick test_bench_compare_verdicts;
+    Alcotest.test_case "bench compare allocation gate" `Quick test_bench_compare_alloc_gate;
     Alcotest.test_case "bench compare identity and wall" `Quick
       test_bench_compare_identity_and_wall;
     Alcotest.test_case "bench compare record_of_json" `Quick
