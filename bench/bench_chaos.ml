@@ -39,27 +39,6 @@ let pingpong_wall ?chaos ~bytes ~iters () =
              P2p.send comm Datatype.byte ~dest:0 payload
            done))
 
-(* Interleaved min-of-rounds: one warmup pass, then each round times every
-   configuration once (after a major GC slice, so one configuration's
-   garbage is not collected on another's clock).  Interleaving spreads
-   thermal and heap drift evenly; the minimum discards GC spikes.  This is
-   what lets two identical configurations measure within fractions of a
-   percent of each other, which a <= 2% acceptance gate needs. *)
-let measure_interleaved ~rounds (fs : (unit -> unit) array) : float array =
-  Array.iter (fun f -> f ()) fs;
-  let best = Array.make (Array.length fs) infinity in
-  for _ = 1 to rounds do
-    Array.iteri
-      (fun i f ->
-        Gc.major ();
-        let t0 = Unix.gettimeofday () in
-        f ();
-        let t = Unix.gettimeofday () -. t0 in
-        if t < best.(i) then best.(i) <- t)
-      fs
-  done;
-  best
-
 let results_file = "BENCH_CHAOS.json"
 
 let zero_rate_config =
@@ -83,7 +62,7 @@ let run ?(smoke = false) () =
     (List.map
        (fun bytes ->
          let times =
-           measure_interleaved ~rounds
+           Bench_util.min_interleaved ~rounds
              [|
                pingpong_wall ?chaos:None ~bytes ~iters;
                pingpong_wall ~chaos:zero_rate_config ~bytes ~iters;

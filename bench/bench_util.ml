@@ -105,6 +105,26 @@ let wall_median ?(runs = 5) (f : unit -> 'a) : float * 'a =
   let sorted = List.sort compare times in
   (List.nth sorted (runs / 2), Option.get !result)
 
+(* Interleaved min-of-rounds: one warmup pass, then each round times every
+   configuration once (after a major GC, so one configuration's garbage is
+   not collected on another's clock).  Interleaving spreads thermal and
+   heap drift evenly; the minimum discards GC spikes and host load bursts.
+   Returns each configuration's best wall seconds. *)
+let min_interleaved ~rounds (fs : (unit -> unit) array) : float array =
+  Array.iter (fun f -> f ()) fs;
+  let best = Array.make (Array.length fs) infinity in
+  for _ = 1 to rounds do
+    Array.iteri
+      (fun i f ->
+        Gc.major ();
+        let t0 = Unix.gettimeofday () in
+        f ();
+        let t = Unix.gettimeofday () -. t0 in
+        if t < best.(i) then best.(i) <- t)
+      fs
+  done;
+  best
+
 let speedup_string ~baseline t = Printf.sprintf "%.2fx" (t /. baseline)
 
 (* ------------------------------------------------------------------ *)

@@ -8,7 +8,7 @@
 
    Experiments: table1, fig8, fig10, overhead, types, repro_reduce,
    sparse, suffix, label_prop, raxml, ulfm, ablation, pingpong, chaos,
-   coll, taskqueue, multicore. *)
+   coll, taskqueue. *)
 
 let experiments ~full ~smoke =
   [
@@ -39,7 +39,6 @@ let experiments ~full ~smoke =
     ("chaos", fun () -> Bench_chaos.run ~smoke ());
     ("coll", fun () -> Bench_coll.run ~smoke ());
     ("taskqueue", fun () -> Bench_taskqueue.run ~smoke ());
-    ("multicore", fun () -> Bench_multicore.run ~smoke ());
   ]
 
 let () =

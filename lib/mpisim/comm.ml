@@ -44,10 +44,16 @@ type bcast_count = {
   mutable bc_consumed : int;
 }
 
+(* World rank -> comm rank; receives translate every matched source
+   through it.  Dense over the group's world-rank span when that span is at
+   most twice the group (world, parity splits); a table sized to the group
+   otherwise (strided sub-communicators such as grid columns). *)
+type inverse = Dense of { base : int; ranks : int array } | Sparse of (int, int) Hashtbl.t
+
 type shared = {
   context : int;
   group : Group.t;  (* comm rank -> world rank *)
-  inverse : (int, int) Hashtbl.t Lazy.t;  (* world rank -> comm rank *)
+  inverse : inverse;
   mutable revoked : bool;
   revoke_observed : bool array;  (* comm rank -> rank has observed the revoke *)
   ibarriers : (int, ibarrier_state) Hashtbl.t;  (* generation -> state *)
@@ -70,19 +76,28 @@ type t = {
   topology : topology option;
 }
 
-let create_shared rt group =
+let make_shared rt ~context group =
   let op_trace =
     if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
     else None
   in
+  let size = Group.size group in
+  let lo = Array.fold_left Int.min max_int group in
+  let hi = Array.fold_left Int.max (-1) group in
   let inverse =
-    lazy
-      (let h = Hashtbl.create (Group.size group) in
-       Array.iteri (fun r w -> Hashtbl.replace h w r) group;
-       h)
+    if hi >= lo && hi - lo < 2 * size then begin
+      let ranks = Array.make (hi - lo + 1) (-1) in
+      Array.iteri (fun r w -> ranks.(w - lo) <- r) group;
+      Dense { base = lo; ranks }
+    end
+    else begin
+      let h = Hashtbl.create size in
+      Array.iteri (fun r w -> Hashtbl.replace h w r) group;
+      Sparse h
+    end
   in
   {
-    context = Runtime.fresh_context rt;
+    context;
     group;
     inverse;
     revoked = false;
@@ -92,6 +107,8 @@ let create_shared rt group =
     pending_shrink = None;
     op_trace;
   }
+
+let create_shared rt group = make_shared rt ~context:(Runtime.fresh_context rt) group
 
 (* NOTE: [create_shared] is completed by [register] below; use
    [create_registered_shared] unless you are the registry itself. *)
@@ -105,40 +122,16 @@ let register rt shared = Hashtbl.replace registry (rt.Runtime.id, shared.context
 
 let find_shared rt ~context = Hashtbl.find_opt registry (rt.Runtime.id, context)
 
-(* Atomic with respect to fiber scheduling (no park inside).  Takes the
-   runtime lock in multicore mode: several ranks build the "same"
-   communicator concurrently and must converge on one shared record. *)
+(* Atomic with respect to fiber scheduling (no park inside): every rank
+   building the "same" communicator converges on one shared record. *)
 let get_or_create_shared rt ~context ~group =
-  Runtime.locked rt @@ fun () ->
   match find_shared rt ~context with
   | Some s ->
       if not (Group.equal s.group group) then
         Errdefs.usage_error "communicator context %d created with differing groups" context;
       s
   | None ->
-      let inverse =
-        lazy
-          (let h = Hashtbl.create (Group.size group) in
-           Array.iteri (fun r w -> Hashtbl.replace h w r) group;
-           h)
-      in
-      let op_trace =
-        if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
-        else None
-      in
-      let s =
-        {
-          context;
-          group;
-          inverse;
-          revoked = false;
-          revoke_observed = Array.make (Group.size group) false;
-          ibarriers = Hashtbl.create 4;
-          bcast_counts = Hashtbl.create 4;
-          pending_shrink = None;
-          op_trace;
-        }
-      in
+      let s = make_shared rt ~context group in
       register rt s;
       s
 
@@ -187,9 +180,15 @@ let world_of_rank t r = Group.world_rank t.shared.group r
 
 (* Comm rank of a world rank; raises if not a member. *)
 let rank_of_world t w =
-  match Hashtbl.find_opt (Lazy.force t.shared.inverse) w with
-  | Some r -> r
-  | None -> Errdefs.usage_error "world rank %d is not a member of this communicator" w
+  let r =
+    match t.shared.inverse with
+    | Dense { base; ranks } ->
+        let i = w - base in
+        if i >= 0 && i < Array.length ranks then Array.unsafe_get ranks i else -1
+    | Sparse h -> ( match Hashtbl.find h w with r -> r | exception Not_found -> -1)
+  in
+  if r < 0 then Errdefs.usage_error "world rank %d is not a member of this communicator" w;
+  r
 
 (* Revocation propagates rank to rank rather than instantaneously: each
    rank is marked as having observed it the first time the revocation

@@ -43,10 +43,16 @@ type bcast_count = {
     data moves.  Message-size-keyed algorithm selection reads it so all
     ranks pick the same algorithm. *)
 
+(** World rank -> comm rank, built with the group.  A group whose
+    world-rank span is at most twice its size gets a dense array
+    ([ranks.(w - base)], [-1] marking a non-member); a strided group gets a
+    table sized to the group, so no communicator costs more than O(size). *)
+type inverse = Dense of { base : int; ranks : int array } | Sparse of (int, int) Hashtbl.t
+
 type shared = {
   context : int;
   group : Group.t;
-  inverse : (int, int) Hashtbl.t Lazy.t;
+  inverse : inverse;
   mutable revoked : bool;
   revoke_observed : bool array;
       (** per comm rank: has that rank's control flow observed the

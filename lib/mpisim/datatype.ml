@@ -701,7 +701,10 @@ let zero_elem (t : 'a t) : 'a =
 
 let size_of_count (t : 'a t) n = t.elem_size * n
 
-let signature_of_count (t : 'a t) n = Signature.repeat t.signature n
+(* One element's signature is the type's own (already normalized), so a
+   single-element send builds none. *)
+let signature_of_count (t : 'a t) n =
+  if n = 1 then t.signature else Signature.repeat t.signature n
 
 let name t = t.name
 

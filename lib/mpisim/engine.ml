@@ -47,62 +47,13 @@ let pp_report ppf r =
    it to reach the mailboxes); [on_quiescence] is forwarded to
    {!Scheduler.run} — the point where deferred wildcard matches are
    resolved. *)
-(* Domain-pool sizing: [Some n] from the caller wins; otherwise the
-   [MPISIM_DOMAINS] environment variable ("auto" or 0 = one domain per
-   core minus the coordinator's, capped); otherwise sequential. *)
-let max_auto_domains = 8
-
-let auto_domains () = max 1 (min max_auto_domains (Domain.recommended_domain_count () - 1))
-
-let resolve_domains = function
-  | Some 0 -> auto_domains ()
-  | Some n when n >= 1 -> n
-  | Some n -> raise (Errdefs.Usage_error (Printf.sprintf "domains must be >= 1, got %d" n))
-  | None -> (
-      match Sys.getenv_opt "MPISIM_DOMAINS" with
-      | None -> 1
-      | Some s -> (
-          match String.trim s with
-          | "" -> 1
-          | "auto" -> auto_domains ()
-          | s -> (
-              match int_of_string_opt s with
-              | Some 0 -> auto_domains ()
-              | Some n when n >= 1 -> n
-              | _ ->
-                  raise
-                    (Errdefs.Usage_error
-                       (Printf.sprintf
-                          "MPISIM_DOMAINS must be a positive integer or \"auto\", got %S" s)))))
-
 let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
     ?(assertion_level = 1) ?check_level ?chaos ?trace_capacity ?trace_stream
-    ?(comm_matrix = false) ?(vector_clocks = false) ?on_runtime ?on_quiescence ?domains
-    ~ranks (body : Comm.t -> 'a) : 'a option array * report =
-  let domains = resolve_domains domains in
+    ?(comm_matrix = false) ?(vector_clocks = false) ?on_runtime ?on_quiescence ~ranks
+    (body : Comm.t -> 'a) : 'a option array * report =
   let rt =
     Runtime.create ~clock_mode ~assertion_level ?check_level ?chaos ~model ~size:ranks ()
   in
-  (* The sequential-only planes are incompatible with the domain pool:
-     chaos decisions, the sanitizer's operation interleaving checks and
-     the model checker's quiescence hook all assume one deterministic
-     global fiber order.  Fail loudly rather than degrade silently. *)
-  if domains > 1 then begin
-    if rt.Runtime.chaos <> None then
-      raise
-        (Errdefs.Usage_error
-           "chaos injection requires sequential scheduling; drop --chaos or use \
-            --domains 1");
-    if Check.enabled rt.Runtime.check then
-      raise
-        (Errdefs.Usage_error
-           "the correctness sanitizer requires sequential scheduling; unset \
-            MPISIM_CHECK or use --domains 1");
-    if on_quiescence <> None then
-      raise
-        (Errdefs.Usage_error
-           "the model checker requires sequential scheduling; use --domains 1")
-  end;
   if vector_clocks then Runtime.enable_vector_clocks rt;
   (match on_runtime with Some f -> f rt | None -> ());
   (match trace_stream with
@@ -149,28 +100,20 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
           Some (Runtime.Process_killed rank)
         else None
       in
+      (* Measured segments feed the hybrid clock; under [Virtual_only]
+         they would be discarded, so the scheduler is not asked to time
+         them at all. *)
+      let on_segment =
+        match clock_mode with
+        | Runtime.Measured -> Some (Runtime.on_cpu_segment rt)
+        | Runtime.Virtual_only -> None
+      in
       let outcomes =
         try
-          if domains > 1 then begin
-            Runtime.set_parallel rt;
-            Scheduler.run_parallel
-              ~on_segment:(Runtime.on_cpu_segment rt)
-              ?on_park ?on_resume
-              ~kill_filter:Fault.is_kill_exn
-              ~wake_check
-              ~rank_time:(fun r -> rt.Runtime.clocks.(r))
-              ~domains
-              ~progress:(fun () -> Runtime.progress_count rt)
-              ~nfibers:ranks fiber
-          end
-          else
-            Scheduler.run
-              ~on_segment:(Runtime.on_cpu_segment rt)
-              ?on_park ?on_resume
-              ~kill_filter:Fault.is_kill_exn
-              ~wake_check ?on_quiescence
-              ~progress:(fun () -> Runtime.progress_count rt)
-              ~nfibers:ranks fiber
+          Scheduler.run ?on_segment ?on_park ?on_resume ~kill_filter:Fault.is_kill_exn
+            ~wake_check ?on_quiescence
+            ~progress:(fun () -> Runtime.progress_count rt)
+            ~nfibers:ranks fiber
         with
         | Scheduler.Deadlock { parked; finished; total }
           when Check.enabled rt.Runtime.check ->
@@ -229,12 +172,11 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
       (results, report))
 
 let run ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
-    ?trace_stream ?comm_matrix ?vector_clocks ?on_runtime ?on_quiescence ?domains ~ranks
+    ?trace_stream ?comm_matrix ?vector_clocks ?on_runtime ?on_quiescence ~ranks
     (body : Comm.t -> unit) : report =
   let _, report =
     run_collect ?model ?clock_mode ?assertion_level ?check_level ?chaos ?trace_capacity
-      ?trace_stream ?comm_matrix ?vector_clocks ?on_runtime ?on_quiescence ?domains ~ranks
-      body
+      ?trace_stream ?comm_matrix ?vector_clocks ?on_runtime ?on_quiescence ~ranks body
   in
   report
 

@@ -32,7 +32,10 @@ let check_revoked comm ~op =
 
 (* Trace span around a blocking point-to-point operation.  Eager sends are
    not wrapped (the runtime's "send" instant already marks them); blocking
-   receives, synchronous sends and probes are where virtual time is spent. *)
+   receives, synchronous sends and probes are where virtual time is spent.
+   Callers test [tracing] first, so an untraced call builds no closure. *)
+let tracing comm = Trace.enabled (Comm.runtime comm).Runtime.trace
+
 let traced comm ~op f =
   Runtime.with_span (Comm.runtime comm) (Comm.world_rank comm) ~cat:"p2p" ~name:op f
 
@@ -53,7 +56,8 @@ let set_waiting_recv comm ~op ~src_world ~tag =
 let clear_waiting comm = Check.clear_waiting (checker comm) ~rank:(Comm.world_rank comm)
 
 (* Pack [count] elements of [data] starting at [pos] and inject the message.
-   Returns the in-flight message.
+   Returns the in-flight message; the caller records the op in the PMPI
+   profile.
 
    Zero-copy plane: the pack goes into a pooled per-rank writer, and the
    writer's storage is transferred into the message via [unsafe_contents]
@@ -75,22 +79,24 @@ let inject_message comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a arr
   Datatype.pack_array dt w data ~pos ~count;
   let payload, payload_len = Wire.unsafe_contents w in
   Runtime.charge_copy rt me ~bytes:payload_len;
-  let msg =
-    Runtime.inject rt ~context:(Comm.context comm) ~src:me
-      ~dst:(Comm.world_of_rank comm dest) ~tag ~payload ~payload_off:0 ~payload_len ~count
-      ~signature:(Datatype.signature_of_count dt count)
-      ~sync
-  in
-  Runtime.record rt ~op ~bytes:payload_len;
-  msg
+  Runtime.inject rt ~context:(Comm.context comm) ~src:me
+    ~dst:(Comm.world_of_rank comm dest) ~tag ~payload ~payload_off:0 ~payload_len ~count
+    ~signature:(Datatype.signature_of_count dt count)
+    ~sync
+
+let send_range_impl comm dt ~dest ~tag data ~pos ~count =
+  Comm.check_rank comm dest;
+  let msg = inject_message comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count in
+  Runtime.record_send (Comm.runtime comm) ~bytes:(Message.bytes msg)
 
 let send_range comm dt ~dest ?(tag = 0) (data : 'a array) ~pos ~count =
-  Comm.check_rank comm dest;
-  ignore (inject_message comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count)
+  send_range_impl comm dt ~dest ~tag data ~pos ~count
 
-let send comm dt ~dest ?(tag = 0) (data : 'a array) =
+let send_impl comm dt ~dest ~tag (data : 'a array) =
   Comm.check_user_tag comm tag;
-  send_range comm dt ~dest ~tag data ~pos:0 ~count:(Array.length data)
+  send_range_impl comm dt ~dest ~tag data ~pos:0 ~count:(Array.length data)
+
+let send comm dt ~dest ?(tag = 0) data = send_impl comm dt ~dest ~tag data
 
 (* Completion time of a synchronous send: the match time plus the latency
    of the (modelled) acknowledgement. *)
@@ -108,13 +114,18 @@ let issend_request comm (msg : Message.t) =
         ~bytes:(Message.bytes msg))
     ~describe:(fun () -> Format.asprintf "issend %a" Message.pp msg)
 
-let ssend comm dt ~dest ?(tag = 0) (data : 'a array) =
+(* Inject a synchronous message and record it under [op]. *)
+let inject_sync comm dt ~op ~dest ~tag data =
   Comm.check_user_tag comm tag;
   Comm.check_rank comm dest;
   let msg =
-    inject_message comm dt ~op:"ssend" ~dest ~tag ~sync:true data ~pos:0
-      ~count:(Array.length data)
+    inject_message comm dt ~op ~dest ~tag ~sync:true data ~pos:0 ~count:(Array.length data)
   in
+  Runtime.record (Comm.runtime comm) ~op ~bytes:(Message.bytes msg);
+  msg
+
+let ssend_impl comm dt ~dest ~tag (data : 'a array) =
+  let msg = inject_sync comm dt ~op:"ssend" ~dest ~tag data in
   let chk = checker comm in
   if Check.enabled chk then
     Check.set_waiting chk ~rank:(Comm.world_rank comm)
@@ -122,8 +133,10 @@ let ssend comm dt ~dest ?(tag = 0) (data : 'a array) =
   ignore (Request.wait (issend_request comm msg));
   if Check.enabled chk then clear_waiting comm
 
-let ssend comm dt ~dest ?tag data =
-  traced comm ~op:"ssend" (fun () -> ssend comm dt ~dest ?tag data)
+let ssend comm dt ~dest ?(tag = 0) data =
+  if tracing comm then
+    traced comm ~op:"ssend" (fun () -> ssend_impl comm dt ~dest ~tag data)
+  else ssend_impl comm dt ~dest ~tag data
 
 let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
   Comm.check_user_tag comm tag;
@@ -132,6 +145,7 @@ let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let msg = inject_message comm dt ~op:"isend" ~dest ~tag ~sync:false data ~pos:0 ~count in
+  Runtime.record rt ~op:"isend" ~bytes:(Message.bytes msg);
   let complete_at = Runtime.clock rt me in
   let req =
     Request.make
@@ -146,12 +160,7 @@ let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
   req
 
 let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
-  Comm.check_user_tag comm tag;
-  Comm.check_rank comm dest;
-  let msg =
-    inject_message comm dt ~op:"issend" ~dest ~tag ~sync:true data ~pos:0
-      ~count:(Array.length data)
-  in
+  let msg = inject_sync comm dt ~op:"issend" ~dest ~tag data in
   let req = issend_request comm msg in
   let chk = checker comm in
   if Check.enabled chk then
@@ -163,23 +172,6 @@ let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
 
 let my_mailbox comm =
   (Comm.runtime comm).Runtime.mailboxes.(Comm.world_rank comm)
-
-(* Multicore: a rank's mailbox is also mutated by concurrent senders
-   ([Runtime.inject] delivers under the runtime lock), so the
-   receiver-side queue operations take the same lock.  Plain calls in
-   sequential mode ({!Runtime.locked} is then a direct application).
-   Reads of an already-posted receive's [p_msg] field stay lock-free:
-   it is a single mutable word, and the scheduler's round barrier
-   orders the matching write before the resumed receiver's read. *)
-let mb_post rt mb ~context ~src ~tag ~now =
-  Runtime.locked rt (fun () -> Mailbox.post mb ~context ~src ~tag ~now)
-
-let mb_retire rt mb p = Runtime.locked rt (fun () -> Mailbox.retire mb p)
-
-let mb_cancel rt mb p = Runtime.locked rt (fun () -> Mailbox.cancel mb p)
-
-let mb_find_unexpected rt mb ~context ~src ~tag =
-  Runtime.locked rt (fun () -> Mailbox.find_unexpected ~remove:false mb ~context ~src ~tag)
 
 let source_world comm source =
   if source = any_source then any_source
@@ -222,6 +214,19 @@ let note_matched comm (p : Mailbox.posted) (msg : Message.t) =
       ~name:"matched" ~a:p.Mailbox.p_id ~b:msg.Message.seq ~c:p.Mailbox.p_context
       ~d:msg.Message.src
 
+(* Post a receive for (src_world, tag) on this communicator at the
+   receiver's current clock. *)
+let post_recv comm ~src_world ~tag =
+  let rt = Comm.runtime comm in
+  let me = Comm.world_rank comm in
+  if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag;
+  let p =
+    Mailbox.post rt.Runtime.mailboxes.(me) ~context:(Comm.context comm) ~src:src_world ~tag
+      ~now:(Runtime.clock rt me)
+  in
+  note_post comm p;
+  p
+
 let check_signature comm (dt : 'a Datatype.t) (msg : Message.t) ~op =
   let rt = Comm.runtime comm in
   if
@@ -236,186 +241,193 @@ let check_signature comm (dt : 'a Datatype.t) (msg : Message.t) ~op =
       msg.Message.src
       (Signature.to_string msg.Message.signature)
 
-(* Wait until the posted receive [p] matches, also waking on source failure.
-   Returns the matched message or raises. *)
-let await_posted comm ~op ~src_world (p : Mailbox.posted) =
-  let rt = Comm.runtime comm in
-  let failed_source () =
-    src_world <> any_source && Runtime.is_failed rt src_world && p.Mailbox.p_msg = None
-  in
-  (* A revoked communicator only aborts this receive once the source has
-     itself observed the revocation (or died, or is a wildcard): until
-     then the source may still complete the in-flight exchange, and
-     waking early would tear down collectives that could drain. *)
-  let revocation_abort () =
-    p.Mailbox.p_msg = None
-    && Comm.revoked_flag comm
-    && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
-  in
-  let ready () = p.Mailbox.p_msg <> None || failed_source () || revocation_abort () in
-  if not (ready ()) then begin
-    if Check.enabled (checker comm) then
-      set_waiting_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag;
-    Scheduler.park
-      ~describe:(fun () ->
-        Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" op (Comm.rank comm)
-          (Comm.context comm) p.Mailbox.p_src p.Mailbox.p_tag)
-      ~poll:(fun () -> if ready () then Some () else None);
-    if Check.enabled (checker comm) then clear_waiting comm
+(* Wake conditions of a posted receive besides a match.  The source died
+   (a wildcard never fails this way)... *)
+let source_failed comm ~src_world =
+  src_world <> any_source && Runtime.is_failed (Comm.runtime comm) src_world
+
+(* ...or the communicator was revoked.  A revoked communicator only aborts
+   a receive once the source has itself observed the revocation (or died,
+   or is a wildcard): until then the source may still complete the
+   in-flight exchange, and waking early would tear down collectives that
+   could drain. *)
+let revocation_abort comm ~src_world =
+  Comm.revoked_flag comm
+  && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
+
+let recv_ready comm ~src_world (p : Mailbox.posted) =
+  match p.Mailbox.p_msg with
+  | Some _ -> true
+  | None -> source_failed comm ~src_world || revocation_abort comm ~src_world
+
+(* The source is printed in communicator ranks, like the rank itself. *)
+let describe_recv comm ~op (p : Mailbox.posted) () =
+  let src = p.Mailbox.p_src in
+  Printf.sprintf "%s on rank %d (ctx %d, src %d, tag %d)" op (Comm.rank comm)
+    (Comm.context comm)
+    (if src = any_source then any_source else Comm.rank_of_world comm src)
+    p.Mailbox.p_tag
+
+(* Wait until the posted receive [p] matches, also waking on source failure
+   or revocation; then retire it.  Returns the matched message or raises.
+   Only a receive that really parks allocates: the poll and describe it
+   hands to the scheduler. *)
+let take_matched comm ~op ~src_world (p : Mailbox.posted) =
+  if not (recv_ready comm ~src_world p) then begin
+    let chk = checker comm in
+    if Check.enabled chk then set_waiting_recv comm ~op ~src_world ~tag:p.Mailbox.p_tag;
+    Scheduler.park ~describe:(describe_recv comm ~op p) ~poll:(fun () ->
+        if recv_ready comm ~src_world p then Some () else None);
+    if Check.enabled chk then clear_waiting comm
   end;
   match p.Mailbox.p_msg with
-  | Some msg -> msg
+  | Some msg ->
+      Mailbox.retire (my_mailbox comm) p;
+      note_matched comm p msg;
+      msg
   | None ->
-      mb_cancel rt (my_mailbox comm) p;
-      if revocation_abort () then
+      Mailbox.cancel (my_mailbox comm) p;
+      if revocation_abort comm ~src_world then
         Comm.error comm Errdefs.Err_revoked "%s: communicator revoked" op
-      else
-        Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
+      else Comm.error comm Errdefs.Err_proc_failed "%s: source rank has failed" op
 
-(* Finish a matched receive: signature check, clock accounting, status. *)
-let complete_matched comm dt ~op (msg : Message.t) =
-  let rt = Comm.runtime comm in
-  check_signature comm dt msg ~op;
-  Runtime.complete_receive rt (Comm.world_rank comm) msg;
-  Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg);
-  Runtime.record rt ~op ~bytes:(Message.bytes msg);
+let status_of comm (msg : Message.t) =
   Status.make
     ~source:(Comm.rank_of_world comm msg.Message.src)
     ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
 
+(* Receiver-side accounting of a matched message: signature check, clock
+   accounting and the unpack charge.  The caller records the op. *)
+let complete_matched comm dt ~op (msg : Message.t) =
+  let rt = Comm.runtime comm in
+  check_signature comm dt msg ~op;
+  Runtime.complete_receive rt (Comm.world_rank comm) msg;
+  Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg)
+
 (* Dynamic receive: allocates an exact-size result from the message. *)
-let recv comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
-    'a array * Status.t =
+let recv_impl comm (dt : 'a Datatype.t) ~source ~tag : 'a array * Status.t =
   check_alive_self comm;
+  let rt = Comm.runtime comm in
   let src_world = source_world comm source in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let msg = await_posted comm ~op:"recv" ~src_world p in
-  mb_retire (Comm.runtime comm) (my_mailbox comm) p;
-  note_matched comm p msg;
-  let status = complete_matched comm dt ~op:"recv" msg in
-  let r = Message.reader msg in
-  let data = Datatype.unpack_array dt r ~count:msg.Message.count in
-  Runtime.recycle_payload (Comm.runtime comm) msg;
+  let p = post_recv comm ~src_world ~tag in
+  let msg = take_matched comm ~op:"recv" ~src_world p in
+  complete_matched comm dt ~op:"recv" msg;
+  Runtime.record_recv rt ~bytes:(Message.bytes msg);
+  let status = status_of comm msg in
+  let data = Datatype.unpack_array dt (Message.reader msg) ~count:msg.Message.count in
+  Runtime.recycle_payload rt msg;
   (data, status)
 
-let recv comm dt ?source ?tag () = traced comm ~op:"recv" (fun () -> recv comm dt ?source ?tag ())
+let recv comm dt ?(source = any_source) ?(tag = any_tag) () =
+  if tracing comm then traced comm ~op:"recv" (fun () -> recv_impl comm dt ~source ~tag)
+  else recv_impl comm dt ~source ~tag
 
-(* MPI-style receive into a caller-provided buffer. *)
-let recv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
-    ?(pos = 0) ?maxcount (into : 'a array) : Status.t =
-  check_alive_self comm;
+(* The receive count bound: [maxcount], or the space after [pos]. *)
+let check_recv_range ~op into ~pos ~maxcount =
   let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
   if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
-    Errdefs.usage_error "recv_into: invalid range (pos %d, maxcount %d, len %d)" pos
-      maxcount (Array.length into);
+    Errdefs.usage_error "%s: invalid range (pos %d, maxcount %d, len %d)" op pos maxcount
+      (Array.length into);
+  maxcount
+
+(* MPI-style receive into a caller-provided buffer. *)
+let recv_into_impl comm (dt : 'a Datatype.t) ~source ~tag ~pos ~maxcount (into : 'a array)
+    : Status.t =
+  check_alive_self comm;
+  let maxcount = check_recv_range ~op:"recv_into" into ~pos ~maxcount in
+  let rt = Comm.runtime comm in
   let src_world = source_world comm source in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let msg = await_posted comm ~op:"recv" ~src_world p in
-  mb_retire (Comm.runtime comm) (my_mailbox comm) p;
-  note_matched comm p msg;
+  let p = post_recv comm ~src_world ~tag in
+  let msg = take_matched comm ~op:"recv" ~src_world p in
   if msg.Message.count > maxcount then
     Comm.error comm Errdefs.Err_truncate
       "recv: message of %d elements truncated to buffer of %d" msg.Message.count maxcount;
-  let status = complete_matched comm dt ~op:"recv" msg in
-  let r = Message.reader msg in
-  Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
-  Runtime.recycle_payload (Comm.runtime comm) msg;
+  complete_matched comm dt ~op:"recv" msg;
+  Runtime.record_recv rt ~bytes:(Message.bytes msg);
+  let status = status_of comm msg in
+  Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
+  Runtime.recycle_payload rt msg;
   status
 
-let recv_into comm dt ?source ?tag ?pos ?maxcount into =
-  traced comm ~op:"recv_into" (fun () -> recv_into comm dt ?source ?tag ?pos ?maxcount into)
+let recv_into comm dt ?(source = any_source) ?(tag = any_tag) ?(pos = 0) ?maxcount into =
+  if tracing comm then
+    traced comm ~op:"recv_into" (fun () ->
+        recv_into_impl comm dt ~source ~tag ~pos ~maxcount into)
+  else recv_into_impl comm dt ~source ~tag ~pos ~maxcount into
+
+(* A receive request over posted receive [p]: ready on match or source
+   failure; [finish] consumes the matched message and returns the
+   status. *)
+let posted_request comm ~src_world ~kind ~describe (p : Mailbox.posted) finish =
+  let rt = Comm.runtime comm in
+  let req =
+    Request.make
+      ~ready:(fun () ->
+        match p.Mailbox.p_msg with
+        | Some _ -> true
+        | None -> source_failed comm ~src_world)
+      ~finalize:(fun () ->
+        match p.Mailbox.p_msg with
+        | None ->
+            Mailbox.cancel (my_mailbox comm) p;
+            Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
+        | Some msg ->
+            Mailbox.retire (my_mailbox comm) p;
+            note_matched comm p msg;
+            finish msg)
+      ~describe
+  in
+  if Check.enabled rt.Runtime.check then
+    Check.track_request rt.Runtime.check ~rank:(Comm.world_rank comm) ~kind req;
+  req
 
 (* Non-blocking receive into a caller-provided buffer. *)
 let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     ?(pos = 0) ?maxcount (into : 'a array) : Request.t =
   check_alive_self comm;
-  let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
-  if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
-    Errdefs.usage_error "irecv: invalid range";
-  let src_world = source_world comm source in
-  let mb = my_mailbox comm in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  let chk = checker comm in
-  if Check.heavy chk then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
-  in
-  note_post comm p;
+  let maxcount = check_recv_range ~op:"irecv" into ~pos ~maxcount in
   let rt = Comm.runtime comm in
-  let failed_source () =
-    src_world <> any_source && Runtime.is_failed rt src_world && p.Mailbox.p_msg = None
-  in
-  let req =
-    Request.make
-      ~ready:(fun () -> p.Mailbox.p_msg <> None || failed_source ())
-      ~finalize:(fun () ->
-        match p.Mailbox.p_msg with
-        | None ->
-            mb_cancel rt mb p;
-            Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
-        | Some msg ->
-            mb_retire rt mb p;
-            note_matched comm p msg;
-            if msg.Message.count > maxcount then
-              Comm.error comm Errdefs.Err_truncate "irecv: message truncated";
-            let status = complete_matched comm dt ~op:"irecv" msg in
-            let r = Message.reader msg in
-            Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
-            Runtime.recycle_payload rt msg;
-            status)
-      ~describe:(fun () ->
-        Printf.sprintf "irecv on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
-  in
-  if Check.enabled chk then
-    Check.track_request chk ~rank:(Comm.world_rank comm) ~kind:"irecv" req;
-  req
+  let src_world = source_world comm source in
+  let p = post_recv comm ~src_world ~tag in
+  posted_request comm ~src_world ~kind:"irecv" p
+    ~describe:(fun () ->
+      Printf.sprintf "irecv on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
+    (fun msg ->
+      if msg.Message.count > maxcount then
+        Comm.error comm Errdefs.Err_truncate "irecv: message truncated";
+      complete_matched comm dt ~op:"irecv" msg;
+      Runtime.record rt ~op:"irecv" ~bytes:(Message.bytes msg);
+      let status = status_of comm msg in
+      Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
+      Runtime.recycle_payload rt msg;
+      status)
 
 (* ------------------------------------------------------------------ *)
 (* Probing *)
 
-let status_of_unmatched comm (msg : Message.t) =
-  Status.make
-    ~source:(Comm.rank_of_world comm msg.Message.src)
-    ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
+let find_unexpected comm ~src_world ~tag =
+  Mailbox.find_unexpected ~remove:false (my_mailbox comm) ~context:(Comm.context comm)
+    ~src:src_world ~tag
 
 let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   check_alive_self comm;
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"iprobe" ~bytes:0;
   let src_world = source_world comm source in
-  match
-    mb_find_unexpected (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag
-  with
+  match find_unexpected comm ~src_world ~tag with
   | None -> None
   | Some msg ->
       (* Probing observes the message only once it has arrived. *)
       Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
-      Some (status_of_unmatched comm msg)
+      Some (status_of comm msg)
 
-let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
+let probe_impl comm ~source ~tag : Status.t =
   check_alive_self comm;
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"probe" ~bytes:0;
   let src_world = source_world comm source in
-  let find () =
-    mb_find_unexpected (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag
-  in
   let msg =
-    match find () with
+    match find_unexpected comm ~src_world ~tag with
     | Some m -> m
     | None ->
         if Check.enabled (checker comm) then
@@ -424,20 +436,22 @@ let probe comm ?(source = any_source) ?(tag = any_tag) () : Status.t =
           Scheduler.park
             ~describe:(fun () ->
               Printf.sprintf "probe on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
-            ~poll:find
+            ~poll:(fun () -> find_unexpected comm ~src_world ~tag)
         in
         if Check.enabled (checker comm) then clear_waiting comm;
         m
   in
   Runtime.sync_clock rt (Comm.world_rank comm) msg.Message.arrival;
-  status_of_unmatched comm msg
+  status_of comm msg
 
-let probe comm ?source ?tag () = traced comm ~op:"probe" (fun () -> probe comm ?source ?tag ())
+let probe comm ?(source = any_source) ?(tag = any_tag) () =
+  if tracing comm then traced comm ~op:"probe" (fun () -> probe_impl comm ~source ~tag)
+  else probe_impl comm ~source ~tag
 
 (* Combined send+receive, deadlock-free because sends are eager. *)
 let sendrecv comm dt ~dest ?(send_tag = 0) ~source ?(recv_tag = any_tag) (data : 'a array)
     : 'a array * Status.t =
-  send comm dt ~dest ~tag:send_tag data;
+  send_impl comm dt ~dest ~tag:send_tag data;
   recv comm dt ~source ~tag:recv_tag ()
 
 (* ------------------------------------------------------------------ *)
@@ -466,36 +480,26 @@ let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
     (Runtime.inject rt ~context:(Comm.context comm) ~src:me
        ~dst:(Comm.world_of_rank comm dest) ~tag ~payload:storage ~payload_off:0
        ~payload_len ~count:len ~signature:(blob_signature len) ~sync:false);
-  Runtime.record rt ~op:"send" ~bytes:len
+  Runtime.record_send rt ~bytes:len
 
-let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () : Bytes.t * Status.t =
+let recv_bytes_impl comm ~source ~tag : Bytes.t * Status.t =
   check_alive_self comm;
-  let src_world = source_world comm source in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  if Check.heavy (checker comm) then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) (my_mailbox comm) ~context:(Comm.context comm)
-      ~src:src_world ~tag ~now
-  in
-  note_post comm p;
-  let msg = await_posted comm ~op:"recv" ~src_world p in
-  mb_retire (Comm.runtime comm) (my_mailbox comm) p;
-  note_matched comm p msg;
   let rt = Comm.runtime comm in
+  let src_world = source_world comm source in
+  let p = post_recv comm ~src_world ~tag in
+  let msg = take_matched comm ~op:"recv" ~src_world p in
   Runtime.complete_receive rt (Comm.world_rank comm) msg;
   Runtime.charge_copy rt (Comm.world_rank comm) ~bytes:(Message.bytes msg);
-  Runtime.record rt ~op:"recv" ~bytes:(Message.bytes msg);
-  let status =
-    Status.make
-      ~source:(Comm.rank_of_world comm msg.Message.src)
-      ~tag:msg.Message.tag ~count:msg.Message.count ~bytes:(Message.bytes msg)
-  in
+  Runtime.record_recv rt ~bytes:(Message.bytes msg);
+  let status = status_of comm msg in
   let data = Message.payload_copy msg in
   Runtime.recycle_payload rt msg;
   (data, status)
 
-let recv_bytes comm ?source ?tag () =
-  traced comm ~op:"recv_bytes" (fun () -> recv_bytes comm ?source ?tag ())
+let recv_bytes comm ?(source = any_source) ?(tag = any_tag) () =
+  if tracing comm then
+    traced comm ~op:"recv_bytes" (fun () -> recv_bytes_impl comm ~source ~tag)
+  else recv_bytes_impl comm ~source ~tag
 
 (* A non-blocking receive whose buffer is allocated at completion time from
    the matched message — the substrate for the binding layer's
@@ -505,41 +509,23 @@ type 'a dyn_request = { base : Request.t; cell : 'a array option ref }
 let irecv_dyn comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) () :
     'a dyn_request =
   check_alive_self comm;
-  let src_world = source_world comm source in
-  let mb = my_mailbox comm in
-  let now = Runtime.clock (Comm.runtime comm) (Comm.world_rank comm) in
-  let chk = checker comm in
-  if Check.heavy chk then note_wildcard comm ~src_world ~tag;
-  let p =
-    mb_post (Comm.runtime comm) mb ~context:(Comm.context comm) ~src:src_world ~tag ~now
-  in
-  note_post comm p;
   let rt = Comm.runtime comm in
+  let src_world = source_world comm source in
+  let p = post_recv comm ~src_world ~tag in
   let cell = ref None in
-  let failed_source () =
-    src_world <> any_source && Runtime.is_failed rt src_world && p.Mailbox.p_msg = None
-  in
   let base =
-    Request.make
-      ~ready:(fun () -> p.Mailbox.p_msg <> None || failed_source ())
-      ~finalize:(fun () ->
-        match p.Mailbox.p_msg with
-        | None ->
-            mb_cancel rt mb p;
-            Comm.error comm Errdefs.Err_proc_failed "irecv: source rank has failed"
-        | Some msg ->
-            mb_retire rt mb p;
-            note_matched comm p msg;
-            let status = complete_matched comm dt ~op:"irecv" msg in
-            let r = Message.reader msg in
-            cell := Some (Datatype.unpack_array dt r ~count:msg.Message.count);
-            Runtime.recycle_payload rt msg;
-            status)
+    posted_request comm ~src_world ~kind:"irecv_dyn" p
       ~describe:(fun () ->
         Printf.sprintf "irecv_dyn on rank %d (src %d, tag %d)" (Comm.rank comm) source tag)
+      (fun msg ->
+        complete_matched comm dt ~op:"irecv" msg;
+        Runtime.record rt ~op:"irecv" ~bytes:(Message.bytes msg);
+        let status = status_of comm msg in
+        cell :=
+          Some (Datatype.unpack_array dt (Message.reader msg) ~count:msg.Message.count);
+        Runtime.recycle_payload rt msg;
+        status)
   in
-  if Check.enabled chk then
-    Check.track_request chk ~rank:(Comm.world_rank comm) ~kind:"irecv_dyn" base;
   { base; cell }
 
 let dyn_wait (r : 'a dyn_request) : 'a array * Status.t =
@@ -602,57 +588,37 @@ let send_init comm (dt : 'a Datatype.t) ~dest ?(tag = 0) (data : 'a array) ~pos 
 
 let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     ?(pos = 0) ?maxcount (into : 'a array) =
-  let maxcount = match maxcount with Some c -> c | None -> Array.length into - pos in
-  if maxcount < 0 || pos < 0 || pos + maxcount > Array.length into then
-    Errdefs.usage_error "recv_init: invalid range (pos %d, maxcount %d, len %d)" pos
-      maxcount (Array.length into);
+  let maxcount = check_recv_range ~op:"recv_init" into ~pos ~maxcount in
   if not (Datatype.is_committed dt) then
     Errdefs.usage_error "recv_init: datatype %s is not committed" (Datatype.name dt);
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
   let src_world = source_world comm source in
-  let context = Comm.context comm in
-  let mb = my_mailbox comm in
   let prep = Profiling.prepare rt.Runtime.profile "recv" in
   let posted : Mailbox.posted option ref = ref None in
   let start () =
     Runtime.check_alive rt me;
-    if Check.heavy rt.Runtime.check then note_wildcard comm ~src_world ~tag;
-    let now = Runtime.clock rt me in
-    let p = mb_post rt mb ~context ~src:src_world ~tag ~now in
-    note_post comm p;
-    posted := Some p
+    posted := Some (post_recv comm ~src_world ~tag)
   in
-  (* The poll must wake on the same conditions as [await_posted] — match,
-     source failure, observed revocation — or a cycle receiving from a
-     dead rank would park forever instead of raising. *)
+  (* The poll must wake on the same conditions as a blocking receive —
+     match, source failure, observed revocation — or a cycle receiving
+     from a dead rank would park forever instead of raising. *)
   let ready () =
-    match !posted with
-    | None -> true
-    | Some p ->
-        p.Mailbox.p_msg <> None
-        || (src_world <> any_source && Runtime.is_failed rt src_world)
-        || Comm.revoked_flag comm
-           && (src_world = any_source || Comm.revocation_reached comm ~world:src_world)
+    match !posted with None -> true | Some p -> recv_ready comm ~src_world p
   in
   let run () =
     match !posted with
     | None -> ()
     | Some p ->
         posted := None;
-        let msg = await_posted comm ~op:"recv" ~src_world p in
-        mb_retire rt mb p;
-        note_matched comm p msg;
+        let msg = take_matched comm ~op:"recv" ~src_world p in
         if msg.Message.count > maxcount then
           Comm.error comm Errdefs.Err_truncate
             "recv: message of %d elements truncated to buffer of %d" msg.Message.count
             maxcount;
-        check_signature comm dt msg ~op:"recv";
-        Runtime.complete_receive rt me msg;
-        Runtime.charge_copy rt me ~bytes:(Message.bytes msg);
+        complete_matched comm dt ~op:"recv" msg;
         Profiling.record_prepared rt.Runtime.profile prep ~bytes:(Message.bytes msg);
-        let r = Message.reader msg in
-        Datatype.unpack_into dt r into ~pos ~count:msg.Message.count;
+        Datatype.unpack_into dt (Message.reader msg) into ~pos ~count:msg.Message.count;
         Runtime.recycle_payload rt msg
   in
   Request.make_p ~describe:"recv_init" ~start ~ready ~run

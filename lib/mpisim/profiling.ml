@@ -17,11 +17,6 @@ type t = {
   stats : Stats.t;
   table : (string, handles) Hashtbl.t;
   mutable enabled : bool;
-  (* Handle-cache guard for multicore runs: the table is read and grown
-     from several domains, so lookups lock once [set_threadsafe] was
-     called.  Sequential runs keep the lock-free path. *)
-  lock : Mutex.t;
-  mutable ts : bool;
 }
 
 type summary = (string * int * int) list
@@ -29,32 +24,20 @@ type summary = (string * int * int) list
 
 let create ?stats () =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  { stats; table = Hashtbl.create 32; enabled = true; lock = Mutex.create (); ts = false }
-
-let set_threadsafe t = t.ts <- true
-
-let[@inline] with_lock t f =
-  if not t.ts then f ()
-  else begin
-    Mutex.lock t.lock;
-    let v = f () in
-    Mutex.unlock t.lock;
-    v
-  end
+  { stats; table = Hashtbl.create 32; enabled = true }
 
 let handles t op =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table op with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              calls_c = Stats.counter t.stats ("mpi." ^ op ^ ".calls");
-              bytes_c = Stats.counter t.stats ("mpi." ^ op ^ ".bytes");
-            }
-          in
-          Hashtbl.replace t.table op h;
-          h)
+  match Hashtbl.find_opt t.table op with
+  | Some h -> h
+  | None ->
+      let h =
+        {
+          calls_c = Stats.counter t.stats ("mpi." ^ op ^ ".calls");
+          bytes_c = Stats.counter t.stats ("mpi." ^ op ^ ".bytes");
+        }
+      in
+      Hashtbl.replace t.table op h;
+      h
 
 (* Hot-path variant for persistent operations: the handle pair is resolved
    once at init ([prepare]) so a per-cycle [record_prepared] is two counter
@@ -77,6 +60,8 @@ let record t ~op ~bytes =
   end
 
 let set_enabled t b = t.enabled <- b
+
+let enabled t = t.enabled
 
 let snapshot t : summary =
   Hashtbl.fold

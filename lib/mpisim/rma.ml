@@ -88,10 +88,7 @@ let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
   Runtime.record (Comm.runtime comm) ~op:"win_create" ~bytes:0;
   let rt = Comm.runtime comm in
   let ckey = (rt.Runtime.id, Comm.context comm) in
-  (* Counter bump and shared-record install are cross-rank registry
-     mutations: one locked region in multicore mode. *)
   let shared =
-    Runtime.locked rt @@ fun () ->
     let counter =
       match Hashtbl.find_opt creation_counter ckey with
       | Some c -> c
@@ -172,8 +169,7 @@ let enqueue t ~op_name ~target_world (op : 'a op) =
   end
   else
     (* The fence batch is shared by all ranks of the window. *)
-    Runtime.locked (Comm.runtime t.comm) (fun () ->
-        t.shared.pending := (Comm.world_rank t.comm, op) :: !(t.shared.pending))
+    t.shared.pending := (Comm.world_rank t.comm, op) :: !(t.shared.pending)
 
 (* Queue a put of [data] into [target]'s exposure at [target_pos].
    Applied at the next fence (or at unlock inside a lock epoch). *)
@@ -251,16 +247,11 @@ let fence (t : 'a t) : unit =
   Comm.check_collective t.comm ~op:"win_fence" ~root:(-1) ~ty:"";
   Runtime.record (Comm.runtime t.comm) ~op:"win_fence" ~bytes:0;
   Coll.barrier t.comm;
-  (* Take-and-clear must be atomic in multicore mode so exactly one rank
-     applies the batch (the sequential scheduler guarantees this by
-     running the first fiber through the barrier to completion). *)
-  let ops =
-    Runtime.locked (Comm.runtime t.comm) (fun () ->
-        let ops = List.rev !(t.shared.pending) in
-        t.shared.pending := [];
-        t.shared.fences <- t.shared.fences + 1;
-        ops)
-  in
+  (* Take-and-clear: exactly one rank applies the batch, the first fiber
+     the scheduler runs through the barrier. *)
+  let ops = List.rev !(t.shared.pending) in
+  t.shared.pending := [];
+  t.shared.fences <- t.shared.fences + 1;
   if ops <> [] then begin
     let stable = List.stable_sort (fun (o1, _) (o2, _) -> compare o1 o2) ops in
     List.iter (fun (origin, op) -> apply_op t ~origin op) stable
@@ -284,27 +275,17 @@ let lock ?(exclusive = true) (t : 'a t) ~target : unit =
   let target_world = Comm.world_of_rank t.comm target in
   let ls = t.shared.locks.(target_world) in
   let acquirable () = ls.holders = 0 || ((not exclusive) && not ls.excl) in
-  (* Check-and-acquire must be one atomic step in multicore mode (two
-     origins may race for the same target); a loser re-parks and tries
-     again.  Sequentially the loop body runs at most twice, exactly as
-     the straight-line version did. *)
-  let try_acquire () =
-    Runtime.locked (Comm.runtime t.comm) (fun () ->
-        if acquirable () then begin
-          if ls.holders = 0 then ls.excl <- exclusive;
-          ls.holders <- ls.holders + 1;
-          true
-        end
-        else false)
-  in
-  while not (try_acquire ()) do
+  (* A fiber resumes right after its poll succeeds, so the lock is still
+     acquirable when [park] returns. *)
+  if not (acquirable ()) then
     Scheduler.park
       ~describe:(fun () ->
         Printf.sprintf "win_lock(%s) on target %d"
           (if exclusive then "exclusive" else "shared")
           target)
-      ~poll:(fun () -> if acquirable () then Some () else None)
-  done;
+      ~poll:(fun () -> if acquirable () then Some () else None);
+  if ls.holders = 0 then ls.excl <- exclusive;
+  ls.holders <- ls.holders + 1;
   t.lock_target <- target_world;
   Runtime.record (Comm.runtime t.comm) ~op:"win_lock" ~bytes:0;
   (* The lock request's round trip to the target. *)
@@ -322,9 +303,8 @@ let unlock (t : 'a t) : unit =
   t.epoch_ops <- [];
   List.iter (fun op -> apply_op t ~origin:me op) ops;
   let ls = t.shared.locks.(t.lock_target) in
-  Runtime.locked (Comm.runtime t.comm) (fun () ->
-      ls.holders <- ls.holders - 1;
-      if ls.holders = 0 then ls.excl <- false);
+  ls.holders <- ls.holders - 1;
+  if ls.holders = 0 then ls.excl <- false;
   t.lock_target <- -1;
   Runtime.record (Comm.runtime t.comm) ~op:"win_unlock" ~bytes:0;
   (* Wake peers parked in [lock]. *)
@@ -352,15 +332,12 @@ let free (t : 'a t) : unit =
   Runtime.record (Comm.runtime t.comm) ~op:"win_free" ~bytes:0;
   t.freed <- true;
   Coll.barrier t.comm;
-  Runtime.locked (Comm.runtime t.comm) (fun () ->
-      t.shared.freed_count <- t.shared.freed_count + 1;
-      if t.shared.freed_count = Comm.size t.comm then begin
-        Hashtbl.remove registry t.shared.key;
-        let rid, ctx, _ = t.shared.key in
-        let any_left =
-          Hashtbl.fold
-            (fun (r, c, _) _ acc -> acc || (r = rid && c = ctx))
-            registry false
-        in
-        if not any_left then Hashtbl.remove creation_counter (rid, ctx)
-      end)
+  t.shared.freed_count <- t.shared.freed_count + 1;
+  if t.shared.freed_count = Comm.size t.comm then begin
+    Hashtbl.remove registry t.shared.key;
+    let rid, ctx, _ = t.shared.key in
+    let any_left =
+      Hashtbl.fold (fun (r, c, _) _ acc -> acc || (r = rid && c = ctx)) registry false
+    in
+    if not any_left then Hashtbl.remove creation_counter (rid, ctx)
+  end

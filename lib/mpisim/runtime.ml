@@ -48,6 +48,10 @@ type t = {
      the default — keeps every fault path to a single branch. *)
   chaos : Chaos.t option;
   profile : Profiling.t;
+  (* PMPI handles of the two hottest ops, resolved on first use so the
+     profile lists exactly the ops that ran. *)
+  prof_send : Profiling.prepared Lazy.t;
+  prof_recv : Profiling.prepared Lazy.t;
   stats : Stats.t;
   trace : Trace.t;
   check : Check.t;
@@ -74,22 +78,12 @@ type t = {
   (* Per-(src,dst) traffic matrix with algorithm attribution; disabled
      (one branch per injection) unless explicitly requested. *)
   comm_matrix : Comm_matrix.t;
-  progress : int Atomic.t;
+  mutable progress : int;
   mutable msg_seq : int;
   mutable next_context : int;
   (* Assertion level: 0 = none, 1 = cheap local checks, 2 = checks that the
      real MPI library would need communication for (paper §III-G). *)
   mutable assertion_level : int;
-  (* Multicore backend support.  Per-rank ownership invariant: a rank's
-     fiber runs on exactly one domain at a time (the scheduler asserts
-     it), so rank-indexed state touched only by its own fiber — clocks,
-     busy/blocked, lamport, own vclock row, own trace ring — needs no
-     locks.  Everything mutated *across* ranks (mailbox delivery,
-     msg_seq, context allocation, rendezvous registries) serializes on
-     [lock], taken only when [parallel] is set; sequential runs pay one
-     branch. *)
-  lock : Mutex.t;
-  mutable parallel : bool;
 }
 
 exception Process_killed of int
@@ -126,6 +120,7 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
       msgs_unexpected = Stats.counter stats "msg.unexpected";
     }
   in
+  let profile = Profiling.create ~stats () in
   let trace = Trace.create ~clocks in
   let check = Check.create ~stats ~trace ~size () in
   Check.set_level check
@@ -151,7 +146,9 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
     failed = Array.make size false;
     n_failed = 0;
     chaos;
-    profile = Profiling.create ~stats ();
+    profile;
+    prof_send = lazy (Profiling.prepare profile "send");
+    prof_recv = lazy (Profiling.prepare profile "recv");
     stats;
     trace;
     check;
@@ -161,45 +158,15 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
     lamport = Array.make size 0;
     vclocks = [||];
     comm_matrix = Comm_matrix.create ~size;
-    progress = Atomic.make 0;
+    progress = 0;
     msg_seq = 0;
     next_context = 0;
     assertion_level;
-    lock = Mutex.create ();
-    parallel = false;
   }
 
-let bump_progress t = Atomic.incr t.progress
+let bump_progress t = t.progress <- t.progress + 1
 
-let progress_count t = Atomic.get t.progress
-
-(* Switch the runtime into multicore mode: cross-rank mutations start
-   taking [lock], the stats registry and the wire pools arm their own
-   guards.  One-way; called by the engine before the domain-pool
-   scheduler starts. *)
-let set_parallel t =
-  if not t.parallel then begin
-    t.parallel <- true;
-    Stats.set_threadsafe t.stats;
-    Profiling.set_threadsafe t.profile;
-    Array.iter Wire.set_pool_threadsafe t.wire_pools
-  end
-
-(* Run [f] under the global runtime lock when in multicore mode; a plain
-   call sequentially.  NOT reentrant — never nest, and never park the
-   fiber inside [f]. *)
-let[@inline] locked t f =
-  if not t.parallel then f ()
-  else begin
-    Mutex.lock t.lock;
-    match f () with
-    | v ->
-        Mutex.unlock t.lock;
-        v
-    | exception e ->
-        Mutex.unlock t.lock;
-        raise e
-  end
+let progress_count t = t.progress
 
 (* Switch on O(p)-per-event vector-clock stamping (trace analysis mode). *)
 let enable_vector_clocks t =
@@ -210,10 +177,9 @@ let vector_clock t rank =
   if Array.length t.vclocks = 0 then [||] else Array.copy t.vclocks.(rank)
 
 let fresh_context t =
-  locked t (fun () ->
-      let c = t.next_context in
-      t.next_context <- c + 1;
-      c)
+  let c = t.next_context in
+  t.next_context <- c + 1;
+  c
 
 let clock t rank = t.clocks.(rank)
 
@@ -307,61 +273,15 @@ let recycle_payload t (m : Message.t) =
       Wire.recycle t.wire_pools.(m.Message.dst) m.Message.payload
   end
 
-(* Inject a packed message.  The payload is a (storage, offset, length)
-   slice whose storage the message now owns — typically a pooled writer's
-   buffer handed over without a copy.  Charges the sender; returns the
-   message so the caller can build a request around it (ssend completion
-   etc.). *)
-let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~signature
-    ~sync =
-  if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
-  let bytes = payload_len in
-  let busy = Net_model.send_busy_time t.model ~bytes in
-  advance_clock t src busy;
-  let sent_at = t.clocks.(src) in
-  (* Cross-rank section: sequence allocation and mailbox delivery mutate
-     the receiver's state, so the whole injection serializes under the
-     runtime lock in multicore mode (plain call sequentially). *)
-  locked t @@ fun () ->
-  let seq = t.msg_seq in
-  t.msg_seq <- seq + 1;
-  let transit = Net_model.transit_time t.model in
-  let arrival, crc, link_seq =
-    match t.chaos with
-    | None -> (sent_at +. transit, -1, -1)
-    | Some ch ->
-        (* Absolute-time failure triggers use the sender's clock as the
-           global progress proxy; the scheduler's wake hook discontinues
-           any victim that is currently parked. *)
-        List.iter (fun r -> kill t r) (Chaos.due_time_failures ch ~now:sent_at);
-        if t.failed.(src) then raise (Process_killed src);
-        if src = dst then (sent_at +. transit, -1, -1)
-        else begin
-          (* Frame the payload before any corruption decision so the
-             receiver-side CRC backstop can detect a flip end to end. *)
-          let crc = Wire.crc32 payload ~pos:payload_off ~len:payload_len in
-          let tr = Chaos.on_transfer ch ~src ~dst ~seq ~bytes ~now:sent_at in
-          advance_clock t src tr.Chaos.tr_sender_busy;
-          if tr.Chaos.tr_escalated then begin
-            (* Retransmission budget exhausted: the reliable layer's
-               failure detector declares the peer dead (ULFM semantics)
-               and the send fails with ERR_PROC_FAILED. *)
-            kill t dst;
-            Errdefs.mpi_error Errdefs.Err_proc_failed
-              "send %d->%d: no acknowledgement after %d attempts; peer declared failed"
-              src dst tr.Chaos.tr_attempts
-          end;
-          if tr.Chaos.tr_corrupt then
-            Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len;
-          (sent_at +. transit +. tr.Chaos.tr_delay, crc, tr.Chaos.tr_link_seq)
-        end
-  in
-  (* Lamport send rule: the injection is a local event, so tick first;
-     the message carries the post-tick value for the receiver to merge. *)
-  let lam = t.lamport.(src) + 1 in
-  t.lamport.(src) <- lam;
-  (* Vector-clock send rule: tick own component, stamp a snapshot into
-     the message for the receiver's merge and the offline analyzer. *)
+(* Stamp the sender's causal clocks and build the in-flight message.
+   Lamport send rule: the injection is a local event, so tick first; the
+   message carries the post-tick value for the receiver to merge.
+   Vector-clock send rule: tick own component and stamp a snapshot into
+   the message for the receiver's merge and the offline analyzer. *)
+let stamp_message t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+    ~signature ~sync ~sent_at ~arrival ~seq ~crc ~link_seq : Message.t =
+  let lamport = t.lamport.(src) + 1 in
+  t.lamport.(src) <- lamport;
   let vc =
     if Array.length t.vclocks = 0 then [||]
     else begin
@@ -370,22 +290,105 @@ let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~
       Array.copy row
     end
   in
+  {
+    Message.context;
+    src;
+    dst;
+    tag;
+    payload;
+    payload_off;
+    payload_len;
+    count;
+    signature;
+    sent_at;
+    arrival;
+    seq;
+    sync;
+    crc;
+    link_seq;
+    lamport;
+    vc;
+    matched_time = -1.0;
+    consumed = false;
+  }
+
+(* The chaos plane's share of an injection: due time-triggered failures,
+   then the reliable layer's transfer decision (delay, retransmission
+   busy time, escalation to a peer failure, corruption). *)
+let inject_chaos t ch ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+    ~signature ~sync ~sent_at ~arrival ~seq =
+  (* Absolute-time failure triggers use the sender's clock as the global
+     progress proxy; the scheduler's wake hook discontinues any victim
+     that is currently parked. *)
+  List.iter (fun r -> kill t r) (Chaos.due_time_failures ch ~now:sent_at);
+  if t.failed.(src) then raise (Process_killed src);
+  if src = dst then
+    stamp_message t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+      ~signature ~sync ~sent_at ~arrival ~seq ~crc:(-1) ~link_seq:(-1)
+  else begin
+    (* Frame the payload before any corruption decision so the
+       receiver-side CRC backstop can detect a flip end to end. *)
+    let crc = Wire.crc32 payload ~pos:payload_off ~len:payload_len in
+    let tr = Chaos.on_transfer ch ~src ~dst ~seq ~bytes:payload_len ~now:sent_at in
+    advance_clock t src tr.Chaos.tr_sender_busy;
+    if tr.Chaos.tr_escalated then begin
+      (* Retransmission budget exhausted: the reliable layer's failure
+         detector declares the peer dead (ULFM semantics) and the send
+         fails with ERR_PROC_FAILED. *)
+      kill t dst;
+      Errdefs.mpi_error Errdefs.Err_proc_failed
+        "send %d->%d: no acknowledgement after %d attempts; peer declared failed" src dst
+        tr.Chaos.tr_attempts
+    end;
+    if tr.Chaos.tr_corrupt then
+      Chaos.corrupt_payload ch payload ~pos:payload_off ~len:payload_len;
+    stamp_message t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+      ~signature ~sync ~sent_at ~arrival:(arrival +. tr.Chaos.tr_delay) ~seq ~crc
+      ~link_seq:tr.Chaos.tr_link_seq
+  end
+
+(* Inject a packed message.  The payload is a (storage, offset, length)
+   slice whose storage the message now owns — typically a pooled writer's
+   buffer handed over without a copy.  Charges the sender; returns the
+   message so the caller can build a request around it (ssend completion
+   etc.). *)
+let inject t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count ~signature
+    ~sync =
+  if dst < 0 || dst >= t.size then Errdefs.usage_error "send: invalid destination rank %d" dst;
+  if payload_off < 0 || payload_len < 0 || payload_off + payload_len > Bytes.length payload
+  then invalid_arg "Runtime.inject: payload slice out of bounds";
+  let bytes = payload_len in
+  advance_clock t src (Net_model.send_busy_time t.model ~bytes);
+  let sent_at = t.clocks.(src) in
+  let seq = t.msg_seq in
+  t.msg_seq <- seq + 1;
+  let arrival = sent_at +. Net_model.transit_time t.model in
   let m =
-    Message.make ~crc ~link_seq ~lamport:lam ~vc ~context ~src ~dst ~tag ~payload
-      ~payload_off ~payload_len ~count ~signature ~sent_at ~arrival ~seq ~sync ()
+    match t.chaos with
+    | None ->
+        stamp_message t ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+          ~signature ~sync ~sent_at ~arrival ~seq ~crc:(-1) ~link_seq:(-1)
+    | Some ch ->
+        inject_chaos t ch ~context ~src ~dst ~tag ~payload ~payload_off ~payload_len ~count
+          ~signature ~sync ~sent_at ~arrival ~seq
   in
-  Log.debug (fun f ->
-      f "inject ctx=%d %d->%d tag=%d count=%d bytes=%d%s" context src dst tag count bytes
-        (if sync then " (sync)" else ""));
+  (match Logs.Src.level log_src with
+  | Some Logs.Debug ->
+      Log.debug (fun f ->
+          f "inject ctx=%d %d->%d tag=%d count=%d bytes=%d%s" context src dst tag count
+            bytes
+            (if sync then " (sync)" else ""))
+  | _ -> ());
   Stats.incr t.metrics.msgs_sent;
   Stats.observe_int t.metrics.msg_size bytes;
   Comm_matrix.record t.comm_matrix ~src ~dst ~bytes;
-  Trace.instant_d t.trace ~rank:src ~cat:"sim" ~name:"send" ~a:dst ~b:seq ~c:bytes ~d:lam;
-  if Array.length vc > 0 then begin
+  Trace.instant_d t.trace ~rank:src ~cat:"sim" ~name:"send" ~a:dst ~b:seq ~c:bytes
+    ~d:m.Message.lamport;
+  if Array.length m.Message.vc > 0 then begin
     (* The VC record annotates the send instant just written; the meta
        instant carries the fields the analyzer needs that the send
        instant has no room for (tag, context, sync flag). *)
-    Trace.vector_clock t.trace ~rank:src ~vc;
+    Trace.vector_clock t.trace ~rank:src ~vc:m.Message.vc;
     Trace.instant_d t.trace ~rank:src ~cat:"sim" ~name:"send_meta" ~a:tag ~b:seq ~c:context
       ~d:(if sync then 1 else 0)
   end;
@@ -448,6 +451,16 @@ let complete_receive t rank (m : Message.t) =
   bump_progress t
 
 let record t ~op ~bytes = Profiling.record t.profile ~op ~bytes
+
+(* Checking [enabled] before forcing keeps a disabled profile from
+   listing the op, as [record] does. *)
+let record_send t ~bytes =
+  if Profiling.enabled t.profile then
+    Profiling.record_prepared t.profile (Lazy.force t.prof_send) ~bytes
+
+let record_recv t ~bytes =
+  if Profiling.enabled t.profile then
+    Profiling.record_prepared t.profile (Lazy.force t.prof_recv) ~bytes
 
 (* Wall-clock park duration, reported by the engine's scheduler hooks. *)
 let observe_park_wait t seconds = Stats.observe t.metrics.park_wait seconds

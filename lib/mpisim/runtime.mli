@@ -38,6 +38,10 @@ type t = {
           runtime acts on them; [None] keeps every fault path to a single
           branch *)
   profile : Profiling.t;
+  prof_send : Profiling.prepared Lazy.t;
+      (** [profile]'s handles for op ["send"], resolved on first use so
+          the PMPI summary lists only ops that ran *)
+  prof_recv : Profiling.prepared Lazy.t;  (** the same for op ["recv"] *)
   stats : Stats.t;  (** metrics registry; also backs [profile] *)
   trace : Trace.t;  (** event recorder; disabled unless enabled explicitly *)
   check : Check.t;  (** correctness sanitizer; inert at level [Off] *)
@@ -57,16 +61,11 @@ type t = {
   comm_matrix : Comm_matrix.t;
       (** per-(src,dst) traffic matrix with collective-algorithm
           attribution; disabled (one branch per injection) by default *)
-  progress : int Atomic.t;  (** monotone; drives deadlock detection *)
+  mutable progress : int;  (** monotone; drives deadlock detection *)
   mutable msg_seq : int;
   mutable next_context : int;
   mutable assertion_level : int;
       (** 0 = none, 1 = cheap local checks, 2 = heavy checks (§III-G) *)
-  lock : Mutex.t;
-      (** serializes cross-rank mutations in multicore mode; see
-          {!locked} *)
-  mutable parallel : bool;
-      (** multicore backend active: {!locked} really locks *)
 }
 
 (** Raised inside a fiber whose rank was failed by injection. *)
@@ -90,27 +89,8 @@ val create :
 
 val bump_progress : t -> unit
 
-(** Current value of the progress epoch (reads the atomic). *)
+(** Current value of the progress epoch. *)
 val progress_count : t -> int
-
-(** Switch into multicore mode (one-way): cross-rank mutations start
-    taking the runtime lock, the stats registry, profiling table and
-    wire pools arm their internal guards.  Called by the engine before
-    the domain-pool scheduler starts.
-
-    Per-rank ownership invariant (asserted by the parallel scheduler): a
-    rank's fiber runs on exactly one domain at a time, so rank-indexed
-    state touched only by its own fiber — clocks, busy/blocked
-    accounting, Lamport clocks, its own vector-clock row, its own trace
-    ring — needs no locks.  Only state mutated across ranks (mailbox
-    delivery and matching, [msg_seq], context allocation, communicator
-    registries, collective rendezvous cells) serializes on {!locked}. *)
-val set_parallel : t -> unit
-
-(** [locked t f] runs [f] under the global runtime lock in multicore
-    mode, as a plain call otherwise.  Not reentrant; never park a fiber
-    inside [f]. *)
-val locked : t -> (unit -> 'a) -> 'a
 
 (** Switch on O(p)-per-event vector-clock stamping.  Sends then carry a
     VC snapshot, matches merge it, and both emit VC trace records plus a
@@ -201,6 +181,12 @@ val inject :
 val complete_receive : t -> int -> Message.t -> unit
 
 val record : t -> op:string -> bytes:int -> unit
+
+(** [record t ~op:"send"] and [record t ~op:"recv"] through the
+    pre-resolved handles: no op-name hashing on the message path. *)
+val record_send : t -> bytes:int -> unit
+
+val record_recv : t -> bytes:int -> unit
 
 (** Wall-clock park duration, reported by the engine's scheduler hooks. *)
 val observe_park_wait : t -> float -> unit

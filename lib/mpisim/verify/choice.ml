@@ -35,7 +35,7 @@ type t = {
    one word. *)
 let installed : t option ref = ref None
 
-let deferring () = !installed <> None
+let deferring () = match !installed with None -> false | Some _ -> true
 
 let active = deferring
 

@@ -200,15 +200,7 @@ let source r = r.data
    it is dead.
 
    The pool is bounded both in buffer count and in retained buffer size so
-   a single huge transfer cannot pin memory for the rest of the run.
-
-   Domain safety: under the multicore scheduler the per-rank ownership
-   invariant keeps a pool single-domain *almost* always — the exception is
-   [recycle], which the receiver calls on the sender-side pool's buffer
-   after hand-off (the runtime recycles into the receiver's own pool, but
-   the API itself must not rely on that).  [set_threadsafe] arms a
-   per-pool mutex guarding the free list; sequential pools never touch
-   it. *)
+   a single huge transfer cannot pin memory for the rest of the run. *)
 
 type pool = {
   mutable free : Bytes.t list;
@@ -217,8 +209,6 @@ type pool = {
   max_retain : int;  (* buffers larger than this are dropped on recycle *)
   mutable hits : int;  (* acquires served from the free list *)
   mutable misses : int;  (* acquires that had to allocate *)
-  p_lock : Mutex.t;
-  mutable p_ts : bool;  (* lock free-list operations (pool crosses domains) *)
 }
 
 let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
@@ -230,41 +220,26 @@ let create_pool ?(max_buffers = 8) ?(max_retain = 1 lsl 24) () =
     max_retain;
     hits = 0;
     misses = 0;
-    p_lock = Mutex.create ();
-    p_ts = false;
   }
-
-let set_pool_threadsafe pool = pool.p_ts <- true
-
-let[@inline] with_pool_lock pool f =
-  if not pool.p_ts then f ()
-  else begin
-    Mutex.lock pool.p_lock;
-    let v = f () in
-    Mutex.unlock pool.p_lock;
-    v
-  end
 
 (* A fresh writer over pooled storage.  The hint only sizes a miss; a
    pooled buffer grows on demand like any other writer. *)
 let acquire pool ~capacity =
-  with_pool_lock pool (fun () ->
-      match pool.free with
-      | b :: rest ->
-          pool.free <- rest;
-          pool.n_free <- pool.n_free - 1;
-          pool.hits <- pool.hits + 1;
-          { buf = b; len = 0 }
-      | [] ->
-          pool.misses <- pool.misses + 1;
-          create_writer ~capacity:(max 1 capacity) ())
+  match pool.free with
+  | b :: rest ->
+      pool.free <- rest;
+      pool.n_free <- pool.n_free - 1;
+      pool.hits <- pool.hits + 1;
+      { buf = b; len = 0 }
+  | [] ->
+      pool.misses <- pool.misses + 1;
+      create_writer ~capacity:(max 1 capacity) ()
 
 let recycle pool (b : Bytes.t) =
-  with_pool_lock pool (fun () ->
-      if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin
-        pool.free <- b :: pool.free;
-        pool.n_free <- pool.n_free + 1
-      end)
+  if pool.n_free < pool.max_buffers && Bytes.length b <= pool.max_retain then begin
+    pool.free <- b :: pool.free;
+    pool.n_free <- pool.n_free + 1
+  end
 
 (* Pre-warm the pool so the next [acquire] is hit-and-fits: [acquire]
    pops the head of the free list whatever its size, so the guarantee is
@@ -273,15 +248,14 @@ let recycle pool (b : Bytes.t) =
    (dropping the small buffer) rather than shadowed.  Persistent requests
    call this at init so the per-cycle pack never grows a writer. *)
 let preheat pool ~capacity =
-  with_pool_lock pool (fun () ->
-      let capacity = max 1 (min capacity pool.max_retain) in
-      match pool.free with
-      | b :: _ when Bytes.length b >= capacity -> ()
-      | _ :: rest when pool.n_free >= pool.max_buffers ->
-          pool.free <- Bytes.create capacity :: rest
-      | free ->
-          pool.free <- Bytes.create capacity :: free;
-          pool.n_free <- pool.n_free + 1)
+  let capacity = max 1 (min capacity pool.max_retain) in
+  match pool.free with
+  | b :: _ when Bytes.length b >= capacity -> ()
+  | _ :: rest when pool.n_free >= pool.max_buffers ->
+      pool.free <- Bytes.create capacity :: rest
+  | free ->
+      pool.free <- Bytes.create capacity :: free;
+      pool.n_free <- pool.n_free + 1
 
 let pool_stats pool = (pool.hits, pool.misses, pool.n_free)
 

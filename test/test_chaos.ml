@@ -439,6 +439,54 @@ let test_plan_malformed_messages () =
       ("wobble=1", "unknown fault-plan clause");
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Sequential byte-compatibility: the chaos replay log of the scheduler
+   must be byte-identical to the golden trace captured before the
+   multicore backend existed.  Any drift here means the sequential path
+   changed. *)
+
+(* Under `dune runtest` the cwd is the test directory; under `dune exec`
+   it is the project root. *)
+let golden_fixture () =
+  List.find Sys.file_exists
+    [ "fixtures/golden_chaos_ring.log"; "test/fixtures/golden_chaos_ring.log" ]
+
+let chaos_ring_program ~rounds comm =
+  let n = Comm.size comm in
+  let r = Comm.rank comm in
+  let acc = ref 0 in
+  for round = 1 to rounds do
+    let v = [| (r * 1000) + round |] in
+    P2p.send comm Datatype.int ~dest:((r + 1) mod n) v;
+    let d, _ = P2p.recv comm Datatype.int ~source:((r + n - 1) mod n) () in
+    acc := !acc + d.(0)
+  done;
+  !acc
+
+let test_golden_chaos_replay () =
+  let chaos =
+    Chaos.config ~seed:99 ~lossy:true
+      ~plan:(Result.get_ok (Fault_plan.parse "droplink=0>1@3"))
+      ()
+  in
+  let results, report =
+    Engine.run_collect ~model:Net_model.ethernet ~clock_mode:Runtime.Virtual_only ~chaos
+      ~ranks:4 (chaos_ring_program ~rounds:25)
+  in
+  Alcotest.(check (array (option int)))
+    "ring results unchanged"
+    [| Some 75325; Some 325; Some 25325; Some 50325 |]
+    results;
+  let log =
+    match report.Engine.chaos_log with
+    | Some l -> l
+    | None -> Alcotest.fail "chaos log missing"
+  in
+  let ic = open_in_bin (golden_fixture ()) in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "byte-identical to pre-multicore golden trace" golden log
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -474,4 +522,15 @@ let tests =
       test_coll_algo_replay;
   ]
 
-let () = Alcotest.run "chaos" [ ("chaos", tests) ]
+(* The golden replay runs as its own suite so the long group name does
+   not narrow the name column of the chaos suite's report. *)
+let () =
+  Alcotest.run ~and_exit:false "chaos" [ ("chaos", tests) ];
+  Alcotest.run "chaos-golden"
+    [
+      ( "sequential-compat",
+        [
+          Alcotest.test_case "golden chaos replay byte-identical" `Quick
+            test_golden_chaos_replay;
+        ] );
+    ]

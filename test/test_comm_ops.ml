@@ -60,6 +60,51 @@ let test_split_by_parity () =
   Alcotest.(check int) "odd group size" 3 size1;
   Alcotest.(check (array int)) "odd members reversed" [| 5; 3; 1 |] members1
 
+(* [Comm.rank_of_world] inverts the group on a contiguous communicator
+   (dense array) and on a strided one (table sized to the group), and
+   rejects a non-member; a wildcard receive on the strided communicator
+   reports its source in communicator ranks. *)
+let test_rank_of_world_dense_and_strided () =
+  let results =
+    Engine.run_values ~ranks:9 (fun comm ->
+        let r = Comm.rank comm in
+        let check sub =
+          let n = Comm.size sub in
+          let inverts =
+            List.for_all
+              (fun i -> Comm.rank_of_world sub (Comm.world_of_rank sub i) = i)
+              (List.init n Fun.id)
+          in
+          let outsider =
+            List.find (fun w -> not (Array.mem w (Comm.group sub))) [ 0; 1; 2; 3 ]
+          in
+          let rejects =
+            match Comm.rank_of_world sub outsider with
+            | _ -> false
+            | exception Errdefs.Usage_error _ -> true
+          in
+          let dense =
+            match sub.Comm.shared.Comm.inverse with Comm.Dense _ -> true | Sparse _ -> false
+          in
+          (inverts && rejects, dense)
+        in
+        let block = Option.get (Comm_ops.split comm ~color:(r / 3) ~key:(-r) ()) in
+        let strided = Option.get (Comm_ops.split comm ~color:(r mod 3) ~key:(-r) ()) in
+        let me = Comm.rank strided and n = Comm.size strided in
+        P2p.send strided Datatype.int ~dest:((me + 1) mod n) [| me |];
+        let got, st = P2p.recv strided Datatype.int () in
+        ( check block,
+          check strided,
+          got.(0) = Status.source st && Status.source st = (me + n - 1) mod n ))
+  in
+  Array.iteri
+    (fun w ((block_ok, block_dense), (strided_ok, strided_dense), ring_ok) ->
+      Alcotest.(check (list bool))
+        (Printf.sprintf "world %d: inverts, dense/sparse, ring source" w)
+        [ true; true; true; false; true ]
+        [ block_ok; block_dense; strided_ok; strided_dense; ring_ok ])
+    results
+
 let test_split_undefined_color () =
   let results =
     Engine.run_values ~ranks:4 (fun comm ->
@@ -164,6 +209,8 @@ let tests =
     Alcotest.test_case "dup isolates contexts" `Quick test_dup_isolation;
     Alcotest.test_case "split by parity with keys" `Quick test_split_by_parity;
     Alcotest.test_case "split undefined color" `Quick test_split_undefined_color;
+    Alcotest.test_case "rank_of_world dense and strided" `Quick
+      test_rank_of_world_dense_and_strided;
     Alcotest.test_case "create from group" `Quick test_create_from_group;
     Alcotest.test_case "collectives on subcomms" `Quick test_split_then_collective;
     Alcotest.test_case "topology symmetry check" `Quick test_topology_symmetry_check;

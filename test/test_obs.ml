@@ -616,6 +616,98 @@ let test_bench_compare_record_of_json () =
           Alcotest.(check bool) "metric split out" true
             (r.Bench_compare.r_metrics = [ ("sim_seconds", 0.25) ]))
 
+(* --- observation is transparent ---
+
+   Tracing (ring or stream), the comm matrix and vector clocks only
+   observe.  With each one switched on, a program returns the same
+   values, ends at the same Virtual_only makespan and records the same
+   PMPI counts as with everything off.  The programs go through the
+   blocking receives, probes and synchronous sends whose span closures
+   are built only when tracing is on. *)
+
+let ring_program comm =
+  let kc = Kamping.Communicator.of_mpi comm in
+  let n = Comm.size comm and r = Comm.rank comm in
+  Array.init 4 (fun round ->
+      Kamping.P2p.send kc Datatype.int ~dest:((r + 1) mod n) [| (r * 10) + round |];
+      if round mod 2 = 0 then
+        (Kamping.P2p.recv kc Datatype.int ~source:((r + n - 1) mod n) ()).(0)
+      else Kamping.P2p.recv_single kc Datatype.int ~source:((r + n - 1) mod n) ())
+
+let pingpong_program comm =
+  let r = Comm.rank comm in
+  let peer = 1 - r in
+  let kc = Kamping.Communicator.of_mpi comm in
+  let buf = [| 0 |] in
+  Array.init 6 (fun i ->
+      if r = 0 then begin
+        if i mod 2 = 0 then P2p.ssend comm Datatype.int ~dest:peer [| i |]
+        else Kamping.P2p.ssend kc Datatype.int ~dest:peer [| i |];
+        ignore (P2p.recv_into comm Datatype.int ~source:peer buf);
+        buf.(0)
+      end
+      else begin
+        let st =
+          if i mod 2 = 0 then P2p.probe comm ~source:peer ()
+          else Kamping.P2p.probe kc ~source:peer ()
+        in
+        let d, _ = P2p.recv comm Datatype.int ~source:peer () in
+        P2p.send comm Datatype.int ~dest:peer [| d.(0) + Status.count st |];
+        d.(0)
+      end)
+
+let wildcard_program comm =
+  let r = Comm.rank comm in
+  if r = 0 then
+    Array.init 6 (fun _ ->
+        let d, st = P2p.recv comm Datatype.int ~source:P2p.any_source () in
+        (d.(0) * 10) + Status.source st)
+  else begin
+    P2p.send comm Datatype.int ~dest:0 [| r |];
+    P2p.send comm Datatype.int ~dest:0 [| r + 10 |];
+    [||]
+  end
+
+(* (values, makespan, per-rank clocks, PMPI summary) of one run. *)
+let observed_run ?trace_capacity ?trace_stream ?comm_matrix ?vector_clocks ~ranks body =
+  let results, report =
+    Engine.run_collect ~clock_mode:Runtime.Virtual_only ?trace_capacity ?trace_stream
+      ?comm_matrix ?vector_clocks ~ranks body
+  in
+  (results, report.Engine.max_time, report.Engine.times, report.Engine.profile)
+
+let test_observation_transparent () =
+  let stream = tmp "transparency.bin" in
+  let variants =
+    [
+      ("trace ring", fun ~ranks body -> observed_run ~trace_capacity:4096 ~ranks body);
+      ("trace stream", fun ~ranks body -> observed_run ~trace_stream:stream ~ranks body);
+      ("comm matrix", fun ~ranks body -> observed_run ~comm_matrix:true ~ranks body);
+      ("vector clocks", fun ~ranks body -> observed_run ~vector_clocks:true ~ranks body);
+    ]
+  in
+  List.iter
+    (fun (prog, ranks, body) ->
+      let off = observed_run ~ranks body in
+      let results, _, _, profile = off in
+      Alcotest.(check bool) (prog ^ ": every rank returned") true
+        (Array.for_all Option.is_some results);
+      Alcotest.(check bool) (prog ^ ": profile recorded") true (profile <> []);
+      List.iter
+        (fun (variant, run) ->
+          let on = run ~ranks body in
+          Alcotest.(check bool) (Printf.sprintf "%s with %s on = off" prog variant) true
+            (on = off);
+          Alcotest.(check bool) (Printf.sprintf "%s with %s off again = off" prog variant)
+            true
+            (observed_run ~ranks body = off))
+        variants)
+    [ ("ring", 5, ring_program); ("ping-pong", 2, pingpong_program);
+      ("wildcard recv", 4, wildcard_program) ];
+  Alcotest.(check bool) "stream sink wrote events" true
+    (String.length (read_file stream) > 64);
+  Sys.remove stream
+
 let tests =
   [
     Alcotest.test_case "stream sink completeness" `Quick test_stream_sink_complete;
@@ -648,6 +740,7 @@ let tests =
       test_bench_compare_identity_and_wall;
     Alcotest.test_case "bench compare record_of_json" `Quick
       test_bench_compare_record_of_json;
+    Alcotest.test_case "observation is transparent" `Quick test_observation_transparent;
   ]
 
 let () = Alcotest.run "obs" [ ("obs", tests) ]

@@ -372,6 +372,103 @@ let test_pingpong_byte_volume () =
     (2 * iters, 2 * iters * bytes)
     (find "recv")
 
+(* A parked receive's deadlock description names its source in
+   communicator ranks, like its rank: on a parity split of 4 ranks, comm
+   rank 0 of the odd communicator (world 1) waits on comm rank 1
+   (world 3), and the report must say src 1. *)
+let test_deadlock_report_comm_source () =
+  match
+    Engine.run ~check_level:Check.Off ~ranks:4 (fun world ->
+        let odd = Option.get (Comm_ops.split world ~color:(Comm.rank world mod 2) ()) in
+        if Comm.rank world mod 2 = 1 then
+          ignore (P2p.recv odd Datatype.int ~source:(1 - Comm.rank odd) ()))
+  with
+  | _ -> Alcotest.fail "expected a deadlock"
+  | exception Scheduler.Deadlock { parked; _ } ->
+      let describe w = List.assoc w parked in
+      Alcotest.(check bool)
+        (Printf.sprintf "world 1 reports comm source 1: %s" (describe 1))
+        true
+        (String.starts_with ~prefix:"recv on rank 0 (ctx " (describe 1)
+        && String.ends_with ~suffix:", src 1, tag -1)" (describe 1));
+      Alcotest.(check bool)
+        (Printf.sprintf "world 3 reports comm source 0: %s" (describe 3))
+        true
+        (String.ends_with ~suffix:", src 0, tag -1)" (describe 3))
+
+(* --- per-message allocation ---
+
+   Minor words are deterministic, so the message path's allocation is
+   gated exactly.  Both measurements run under [Virtual_only] (no segment
+   timing) and start after a warm-up, so engine setup is excluded. *)
+
+let alloc_msgs = 10_000
+
+(* Words per message of a 1-int raw ping-pong: every receive is posted
+   before its message arrives, so each one parks and resumes. *)
+let pingpong_words_per_msg () =
+  let words = ref 0. in
+  ignore
+    (Engine.run ~clock_mode:Runtime.Virtual_only ~ranks:2 (fun comm ->
+         let me = Comm.rank comm in
+         let round () =
+           if me = 0 then begin
+             P2p.send comm Datatype.int ~dest:1 [| 1 |];
+             ignore (P2p.recv comm Datatype.int ~source:1 ())
+           end
+           else begin
+             let d, _ = P2p.recv comm Datatype.int ~source:0 () in
+             P2p.send comm Datatype.int ~dest:0 d
+           end
+         in
+         for _ = 1 to 100 do
+           round ()
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to alloc_msgs / 2 do
+           round ()
+         done;
+         if me = 0 then words := (Gc.minor_words () -. w0) /. float_of_int alloc_msgs));
+  !words
+
+(* Words per message when every receive finds its message already there:
+   rank 0 sends them all (eager sends never park, so it runs to the end
+   first), then rank 1 receives them by exact (source, tag).  A wildcard
+   receive would also pay for the mailbox's scan over the context's keys. *)
+let arrived_words_per_msg () =
+  let w0 = ref 0. and words = ref 0. in
+  ignore
+    (Engine.run ~clock_mode:Runtime.Virtual_only ~ranks:2 (fun comm ->
+         if Comm.rank comm = 0 then begin
+           for _ = 1 to 100 do
+             P2p.send comm Datatype.int ~dest:1 ~tag:0 [| 1 |]
+           done;
+           w0 := Gc.minor_words ();
+           for _ = 1 to alloc_msgs do
+             P2p.send comm Datatype.int ~dest:1 ~tag:0 [| 1 |]
+           done
+         end
+         else begin
+           for _ = 1 to 100 + alloc_msgs do
+             ignore (P2p.recv comm Datatype.int ~source:0 ~tag:0 ())
+           done;
+           words := (Gc.minor_words () -. !w0) /. float_of_int alloc_msgs
+         end));
+  !words
+
+let test_pingpong_allocation () =
+  let w = pingpong_words_per_msg () in
+  Alcotest.(check bool)
+    (Printf.sprintf "1-int ping-pong allocates <= 140 words per message (%.1f)" w)
+    true (w <= 140.)
+
+let test_arrived_recv_allocates_less () =
+  let parked = pingpong_words_per_msg () in
+  let arrived = arrived_words_per_msg () in
+  Alcotest.(check bool)
+    (Printf.sprintf "arrived receive (%.1f words/msg) below parked (%.1f)" arrived parked)
+    true (arrived < parked)
+
 let tests =
   [
     Alcotest.test_case "basic send/recv" `Quick test_basic_send_recv;
@@ -401,6 +498,11 @@ let tests =
     Alcotest.test_case "mailbox: wildcard oldest across keys" `Quick
       test_mailbox_wildcard_oldest_across_keys;
     Alcotest.test_case "pingpong byte volume" `Quick test_pingpong_byte_volume;
+    Alcotest.test_case "deadlock report names comm source" `Quick
+      test_deadlock_report_comm_source;
+    Alcotest.test_case "ping-pong words per message" `Quick test_pingpong_allocation;
+    Alcotest.test_case "arrived recv below parked recv" `Quick
+      test_arrived_recv_allocates_less;
   ]
 
 let () = Alcotest.run "p2p" [ ("p2p", tests) ]
