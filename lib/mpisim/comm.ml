@@ -39,6 +39,18 @@ type shrink_state = {
   mutable sh_survivors : int list option;  (* comm ranks, decided once *)
 }
 
+(* Rendezvous state for one ULFM agree generation.  [ag_result] is the
+   agreed value, decided by the first rank through the rendezvous; later
+   ranks must reuse it — if a contributor dies between two survivors'
+   resumptions, recomputing would let them disagree on the "agreed"
+   value, which defeats the operation. *)
+type agree_state = {
+  mutable ag_arrived : (int * bool) list;  (* (comm rank, contribution) *)
+  mutable ag_max_clock : float;
+  mutable ag_done : int;
+  mutable ag_result : bool option;
+}
+
 type bcast_count = {
   bc_count : int;
   mutable bc_consumed : int;
@@ -54,10 +66,23 @@ type shared = {
   context : int;
   group : Group.t;  (* comm rank -> world rank *)
   inverse : inverse;
+  (* The run's communicators by context, one table shared by every record
+     of the run: all ranks creating the "same" communicator must end up
+     pointing at one shared record so that revocation and rendezvous
+     state propagate.  It dies with the run. *)
+  registry : (int, shared) Hashtbl.t;
   mutable revoked : bool;
   revoke_observed : bool array;  (* comm rank -> rank has observed the revoke *)
   ibarriers : (int, ibarrier_state) Hashtbl.t;  (* generation -> state *)
   bcast_counts : (int, bcast_count) Hashtbl.t;  (* generation -> root's count *)
+  (* Agree generation -> rendezvous; an entry lives while its agree is in
+     flight, so the list stays short and costs nothing until used. *)
+  mutable agrees : (int * agree_state) list;
+  (* Window generation -> the window's shared state, type-erased: [Rma]
+     depends on this module, not the other way round (see [Rma.create]
+     for why the erasure is sound).  Removed by the last rank through
+     [Rma.free]. *)
+  mutable windows : (int * Obj.t) list;
   mutable pending_shrink : shrink_state option;
   (* Per-rank trace of collective operations, recorded at assertion level
      >= 2 and checked for consistency by the engine (a "strong debug mode",
@@ -73,10 +98,11 @@ type t = {
   mutable my_ibarrier_gen : int;
   mutable my_agree_gen : int;
   mutable my_bcast_gen : int;
+  mutable my_win_gen : int;
   topology : topology option;
 }
 
-let make_shared rt ~context group =
+let make_shared rt ~registry ~context group =
   let op_trace =
     if rt.Runtime.assertion_level >= 2 then Some (Array.make (Group.size group) [])
     else None
@@ -100,55 +126,41 @@ let make_shared rt ~context group =
     context;
     group;
     inverse;
+    registry;
     revoked = false;
     revoke_observed = Array.make (Group.size group) false;
     ibarriers = Hashtbl.create 4;
     bcast_counts = Hashtbl.create 4;
+    agrees = [];
+    windows = [];
     pending_shrink = None;
     op_trace;
   }
 
-let create_shared rt group = make_shared rt ~context:(Runtime.fresh_context rt) group
-
-(* NOTE: [create_shared] is completed by [register] below; use
-   [create_registered_shared] unless you are the registry itself. *)
-
-(* Registry of shared communicator records, keyed by (runtime id, context):
-   all ranks creating the "same" communicator must end up pointing at one
-   shared record so that revocation and rendezvous state propagate. *)
-let registry : (int * int, shared) Hashtbl.t = Hashtbl.create 64
-
-let register rt shared = Hashtbl.replace registry (rt.Runtime.id, shared.context) shared
-
-let find_shared rt ~context = Hashtbl.find_opt registry (rt.Runtime.id, context)
+(* The world communicator of a fresh run, and with it the run's table of
+   communicators. *)
+let create_world rt group =
+  let registry = Hashtbl.create 16 in
+  let s = make_shared rt ~registry ~context:(Runtime.fresh_context rt) group in
+  Hashtbl.replace registry s.context s;
+  s
 
 (* Atomic with respect to fiber scheduling (no park inside): every rank
-   building the "same" communicator converges on one shared record. *)
-let get_or_create_shared rt ~context ~group =
-  match find_shared rt ~context with
+   building the "same" communicator from [parent] converges on one shared
+   record. *)
+let get_or_create_shared parent ~context ~group =
+  let registry = parent.shared.registry in
+  match Hashtbl.find_opt registry context with
   | Some s ->
       if not (Group.equal s.group group) then
         Errdefs.usage_error "communicator context %d created with differing groups" context;
       s
   | None ->
-      let s = make_shared rt ~context group in
-      register rt s;
+      let s = make_shared parent.rt ~registry ~context group in
+      Hashtbl.replace registry context s;
       s
 
-let all_shared rt =
-  Hashtbl.fold (fun (rid, _) s acc -> if rid = rt.Runtime.id then s :: acc else acc) registry []
-
-let clear_registry rt =
-  let keys =
-    Hashtbl.fold (fun (rid, c) _ acc -> if rid = rt.Runtime.id then (rid, c) :: acc else acc)
-      registry []
-  in
-  List.iter (Hashtbl.remove registry) keys
-
-let create_registered_shared rt group =
-  let s = create_shared rt group in
-  register rt s;
-  s
+let all_shared shared = Hashtbl.fold (fun _ s acc -> s :: acc) shared.registry []
 
 let attach ?topology rt shared ~rank =
   if rank < 0 || rank >= Group.size shared.group then
@@ -161,6 +173,7 @@ let attach ?topology rt shared ~rank =
     my_ibarrier_gen = 0;
     my_agree_gen = 0;
     my_bcast_gen = 0;
+    my_win_gen = 0;
     topology;
   }
 

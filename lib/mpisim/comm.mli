@@ -33,6 +33,16 @@ type shrink_state = {
           shrink cannot make survivors compute differing groups *)
 }
 
+type agree_state = {
+  mutable ag_arrived : (int * bool) list;  (** (comm rank, contribution) *)
+  mutable ag_max_clock : float;
+  mutable ag_done : int;
+  mutable ag_result : bool option;
+      (** agreed value, decided by the first rank through the rendezvous;
+          later ranks reuse it so a death between two resumptions cannot
+          make survivors disagree *)
+}
+
 type bcast_count = {
   bc_count : int;  (** element count published by the bcast root *)
   mutable bc_consumed : int;  (** ranks done with this entry; reclaimed at size *)
@@ -53,6 +63,10 @@ type shared = {
   context : int;
   group : Group.t;
   inverse : inverse;
+  registry : (int, shared) Hashtbl.t;
+      (** the run's communicators by context: one table per run, shared by
+          every record of the run, so creating the "same" communicator on
+          every rank converges on one record *)
   mutable revoked : bool;
   revoke_observed : bool array;
       (** per comm rank: has that rank's control flow observed the
@@ -62,6 +76,10 @@ type shared = {
           asynchronously, as in real ULFM. *)
   ibarriers : (int, ibarrier_state) Hashtbl.t;
   bcast_counts : (int, bcast_count) Hashtbl.t;
+  mutable agrees : (int * agree_state) list;  (** agree generation -> rendezvous *)
+  mutable windows : (int * Obj.t) list;
+      (** window generation -> the window's type-erased shared state
+          ({!Rma.create} explains why the erasure is sound) *)
   mutable pending_shrink : shrink_state option;
   mutable op_trace : string list array option;
 }
@@ -74,26 +92,22 @@ type t = {
   mutable my_ibarrier_gen : int;
   mutable my_agree_gen : int;
   mutable my_bcast_gen : int;
+  mutable my_win_gen : int;
   topology : topology option;
 }
 
 (** {1 Construction (used by the engine and communicator operations)} *)
 
-val create_shared : Runtime.t -> Group.t -> shared
+(** The world communicator's shared record for a fresh run; it creates
+    the run's communicator table. *)
+val create_world : Runtime.t -> Group.t -> shared
 
-val register : Runtime.t -> shared -> unit
+(** Find or atomically create the shared record for [context] in the
+    parent's run; raises if an existing record has a different group. *)
+val get_or_create_shared : t -> context:int -> group:Group.t -> shared
 
-val find_shared : Runtime.t -> context:int -> shared option
-
-(** Find or atomically create the shared record for (runtime, context);
-    raises if an existing record has a different group. *)
-val get_or_create_shared : Runtime.t -> context:int -> group:Group.t -> shared
-
-val all_shared : Runtime.t -> shared list
-
-val clear_registry : Runtime.t -> unit
-
-val create_registered_shared : Runtime.t -> Group.t -> shared
+(** Every communicator of the run that [shared] belongs to. *)
+val all_shared : shared -> shared list
 
 (** Per-rank handle onto a shared record. *)
 val attach : ?topology:topology -> Runtime.t -> shared -> rank:int -> t

@@ -22,7 +22,7 @@ let dup comm =
     let root_ctx = if Comm.rank comm = 0 then Some [| Runtime.fresh_context rt |] else None in
     (Coll.bcast comm Datatype.int ~root:0 root_ctx).(0)
   in
-  let shared = Comm.get_or_create_shared rt ~context ~group:(Comm.group comm) in
+  let shared = Comm.get_or_create_shared comm ~context ~group:(Comm.group comm) in
   Comm.attach rt shared ~rank:(Comm.rank comm)
 
 (* ------------------------------------------------------------------ *)
@@ -101,7 +101,7 @@ let split comm ~color ?(key = 0) () : Comm.t option =
     let gsize = reply.(2) in
     let world_ranks = Array.sub reply 3 gsize in
     let shared =
-      Comm.get_or_create_shared rt ~context ~group:(Group.of_ranks world_ranks)
+      Comm.get_or_create_shared comm ~context ~group:(Group.of_ranks world_ranks)
     in
     Some (Comm.attach rt shared ~rank:new_rank)
   end
@@ -151,7 +151,7 @@ let dist_graph_create_adjacent comm ~(sources : int array) ~(destinations : int 
     let root_ctx = if Comm.rank comm = 0 then Some [| Runtime.fresh_context rt |] else None in
     (Coll.bcast comm Datatype.int ~root:0 root_ctx).(0)
   in
-  let shared = Comm.get_or_create_shared rt ~context ~group:(Comm.group comm) in
+  let shared = Comm.get_or_create_shared comm ~context ~group:(Comm.group comm) in
   Comm.attach rt shared ~rank:(Comm.rank comm)
     ~topology:{ Comm.sources = Array.copy sources; destinations = Array.copy destinations }
 
@@ -218,7 +218,9 @@ let shrink comm : Comm.t =
   in
   let world_ranks = Array.of_list (List.map (Comm.world_of_rank comm) survivors) in
   let new_group = Group.of_ranks world_ranks in
-  let new_shared = Comm.get_or_create_shared rt ~context:state.Comm.sh_context ~group:new_group in
+  let new_shared =
+    Comm.get_or_create_shared comm ~context:state.Comm.sh_context ~group:new_group
+  in
   (* Modelled cost of the underlying agreement protocol. *)
   let s = Array.length world_ranks in
   let rounds = if s <= 1 then 0 else int_of_float (ceil (log (float_of_int s) /. log 2.)) in
@@ -250,20 +252,6 @@ let shrink comm : Comm.t =
   in
   Comm.attach rt new_shared ~rank:my_new_rank
 
-(* Agreement states, keyed by (runtime id, context, generation).
-   [ag_result] is the agreed value, decided by the first rank through the
-   rendezvous; later ranks must reuse it — if a contributor dies between
-   two survivors' resumptions, recomputing would let them disagree on the
-   "agreed" value, which defeats the operation. *)
-type agree_state = {
-  mutable ag_arrived : (int * bool) list;  (* (comm rank, contribution) *)
-  mutable ag_max_clock : float;
-  mutable ag_done : int;
-  mutable ag_result : bool option;
-}
-
-let agree_states : (int * int * int, agree_state) Hashtbl.t = Hashtbl.create 16
-
 (* Fault-tolerant agreement: returns the logical AND of the contributions
    of all
 
@@ -275,22 +263,24 @@ let agree comm (value : bool) : bool =
   let me = Comm.world_rank comm in
   let gen = comm.Comm.my_agree_gen in
   comm.Comm.my_agree_gen <- gen + 1;
-  let key = (rt.Runtime.id, Comm.context comm, gen) in
+  let shared = comm.Comm.shared in
   (* Cross-rank rendezvous cell, created by the first rank to arrive. *)
   let state =
-    match Hashtbl.find_opt agree_states key with
+    match List.assoc_opt gen shared.Comm.agrees with
     | Some s -> s
     | None ->
-        let s = { ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None } in
-        Hashtbl.replace agree_states key s;
+        let s =
+          { Comm.ag_arrived = []; ag_max_clock = 0.; ag_done = 0; ag_result = None }
+        in
+        shared.Comm.agrees <- (gen, s) :: shared.Comm.agrees;
         s
   in
-  state.ag_arrived <- (Comm.rank comm, value) :: state.ag_arrived;
-  state.ag_max_clock <- Float.max state.ag_max_clock (Runtime.clock rt me);
+  state.Comm.ag_arrived <- (Comm.rank comm, value) :: state.Comm.ag_arrived;
+  state.Comm.ag_max_clock <- Float.max state.Comm.ag_max_clock (Runtime.clock rt me);
   Runtime.bump_progress rt;
   let all_arrived () =
     let live = live_members comm in
-    List.for_all (fun r -> List.mem_assoc r state.ag_arrived) live
+    List.for_all (fun r -> List.mem_assoc r state.Comm.ag_arrived) live
   in
   if not (all_arrived ()) then
     Scheduler.park
@@ -300,23 +290,25 @@ let agree comm (value : bool) : bool =
   (* The agreed value is decided once, by the first rank to resume; later
      ranks reuse it even if the live set has changed since. *)
   let result =
-    match state.ag_result with
+    match state.Comm.ag_result with
     | Some r -> r
     | None ->
         let r =
           List.fold_left
-            (fun acc r -> acc && (try List.assoc r state.ag_arrived with Not_found -> true))
+            (fun acc r ->
+              acc && try List.assoc r state.Comm.ag_arrived with Not_found -> true)
             true live
         in
-        state.ag_result <- Some r;
+        state.Comm.ag_result <- Some r;
         r
   in
   let s = List.length live in
   let rounds = if s <= 1 then 0 else int_of_float (ceil (log (float_of_int s) /. log 2.)) in
   Runtime.sync_clock rt me
-    (state.ag_max_clock
+    (state.Comm.ag_max_clock
     +. (2. *. float_of_int rounds
        *. (rt.Runtime.model.Net_model.latency +. rt.Runtime.model.Net_model.send_overhead)));
-  state.ag_done <- state.ag_done + 1;
-  if state.ag_done >= s then Hashtbl.remove agree_states key;
+  state.Comm.ag_done <- state.Comm.ag_done + 1;
+  if state.Comm.ag_done >= s then
+    shared.Comm.agrees <- List.remove_assoc gen shared.Comm.agrees;
   result

@@ -17,9 +17,10 @@
    - [contiguous], [pair], [option_], [create] cover derived and dynamic
      (runtime-sized) types.
 
-   Derived types must be committed before use and freed afterwards; the
-   global pool tracks this so tests can assert the absence of resource
-   leaks (the paper notes MPL/RWTH-MPI leak committed types). *)
+   Derived types must be committed before use and freed afterwards; each
+   type carries its own commit state, and one process-wide count of live
+   derived types lets tests assert the absence of resource leaks (the
+   paper notes MPL/RWTH-MPI leak committed types). *)
 
 type kind = Builtin | Derived
 
@@ -52,68 +53,53 @@ type 'a bulk_kernel = {
   bk_run : 'a run_kernel option;
 }
 
+(* Commit state.  Builtins are born [Committed] and stay so; a derived
+   type goes [Uncommitted] -> [Committed] -> [Freed].  The cell is shared
+   by a type and its [without_bulk] copy. *)
+type state = Uncommitted | Committed | Freed
+
+type cell = state ref
+
 type 'a t = {
   name : string;
-  id : int;
   kind : kind;
   elem_size : int;  (* wire bytes per element *)
   signature : Signature.t;  (* per element *)
   pack : Wire.writer -> 'a -> unit;
   unpack : Wire.reader -> 'a;
   bulk : 'a bulk_kernel option;  (* fast path; [None] = general path *)
+  cell : cell;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Commit/free pool *)
+(* Commit/free lifecycle *)
 
-type pool_entry = {
-  pe_name : string;
-  pe_kind : kind;
-  mutable committed : bool;
-  mutable freed : bool;
-}
-
-let pool : (int, pool_entry) Hashtbl.t = Hashtbl.create 64
-
-let next_id = ref 0
-
-let fresh_id ~name ~kind =
-  let id = !next_id in
-  incr next_id;
-  Hashtbl.replace pool id
-    { pe_name = name; pe_kind = kind; committed = (kind = Builtin); freed = false };
-  id
+(* Derived types that were committed but not yet freed; builtins are
+   permanently committed and not counted.  Tests use this to detect
+   resource leakage (the paper notes that MPL and RWTH-MPI leak committed
+   types). *)
+let live_derived = Atomic.make 0
 
 let commit t =
-  match Hashtbl.find_opt pool t.id with
-  | None -> invalid_arg "Datatype.commit: unknown type"
-  | Some e ->
-      if e.freed then invalid_arg ("Datatype.commit: type already freed: " ^ t.name);
-      e.committed <- true
+  match !(t.cell) with
+  | Committed -> ()
+  | Freed -> invalid_arg ("Datatype.commit: type already freed: " ^ t.name)
+  | Uncommitted ->
+      t.cell := Committed;
+      Atomic.incr live_derived
 
 let free t =
-  match Hashtbl.find_opt pool t.id with
-  | None -> invalid_arg "Datatype.free: unknown type"
-  | Some e ->
-      if t.kind = Builtin then invalid_arg "Datatype.free: cannot free builtin";
-      if e.freed then invalid_arg ("Datatype.free: double free: " ^ t.name);
-      e.freed <- true
+  if t.kind = Builtin then invalid_arg "Datatype.free: cannot free builtin";
+  match !(t.cell) with
+  | Freed -> invalid_arg ("Datatype.free: double free: " ^ t.name)
+  | Committed ->
+      t.cell := Freed;
+      Atomic.decr live_derived
+  | Uncommitted -> t.cell := Freed
 
-let is_committed t =
-  match Hashtbl.find_opt pool t.id with
-  | None -> false
-  | Some e -> e.committed && not e.freed
+let is_committed t = match !(t.cell) with Committed -> true | Uncommitted | Freed -> false
 
-(* Number of derived types that were committed but never freed; builtins are
-   permanently committed and not counted.  Tests use this to detect resource
-   leakage (the paper notes that MPL and RWTH-MPI leak committed types). *)
-let live_derived_count () =
-  Hashtbl.fold
-    (fun _id e acc ->
-      if e.pe_kind = Derived && e.committed && not e.freed then acc + 1 else acc)
-    pool 0
-
-let pool_reset_for_tests () = Hashtbl.reset pool
+let live_derived_count () = Atomic.get live_derived
 
 (* ------------------------------------------------------------------ *)
 (* Builtins *)
@@ -121,13 +107,13 @@ let pool_reset_for_tests () = Hashtbl.reset pool
 let builtin ~name ~size ~signature ~pack ~unpack ~bulk =
   {
     name;
-    id = fresh_id ~name ~kind:Builtin;
     kind = Builtin;
     elem_size = size;
     signature;
     pack;
     unpack;
     bulk = Some bulk;
+    cell = ref Committed;
   }
 
 (* Each builtin kernel must produce exactly the bytes its [Wire] put/get
@@ -339,13 +325,13 @@ let create_k ~name ~size ~signature ~pack ~unpack ~bulk =
   if size < 0 then invalid_arg "Datatype.create: negative size";
   {
     name;
-    id = fresh_id ~name ~kind:Derived;
     kind = Derived;
     elem_size = size;
     signature;
     pack;
     unpack;
     bulk;
+    cell = ref Uncommitted;
   }
 
 (* Fully custom ("dynamic", §III-D2): the caller supplies everything, with
@@ -676,8 +662,7 @@ let bulk_available t = t.bulk <> None
 
 (* The same type with its kernel stripped: forced onto the general path.
    Benchmarks and the fast≡general equivalence property use this as the
-   "before" side; it is NOT registered as a separate pool entry (same id,
-   same commit state). *)
+   "before" side; the copy shares the original's commit state. *)
 let without_bulk (t : 'a t) : 'a t = { t with bulk = None }
 
 (* Scoped commit: commit [t] if needed, run [f t], and free [t] again if
@@ -685,7 +670,7 @@ let without_bulk (t : 'a t) : 'a t = { t with bulk = None }
    derived types transparently (Construct-On-First-Use with guaranteed
    cleanup, §III-D1) while the raw layer keeps MPI's manual discipline. *)
 let with_committed (t : 'a t) (f : 'a t -> 'b) : 'b =
-  if t.kind = Builtin || is_committed t then f t
+  if is_committed t then f t
   else begin
     commit t;
     Fun.protect ~finally:(fun () -> free t) (fun () -> f t)

@@ -67,10 +67,9 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
     ~finally:(fun () ->
       (* Flush the stream sink before control returns to the caller, so
          the file is complete (and convertible) even on an abort. *)
-      Trace.close_stream rt.Runtime.trace;
-      Comm.clear_registry rt)
+      Trace.close_stream rt.Runtime.trace)
     (fun () ->
-      let world_shared = Comm.create_registered_shared rt (Group.world ~size:ranks) in
+      let world_shared = Comm.create_world rt (Group.world ~size:ranks) in
       let results : 'a option array = Array.make ranks None in
       let fiber rank =
         let comm = Comm.attach rt world_shared ~rank in
@@ -141,7 +140,7 @@ let run_collect ?(model = Net_model.omnipath) ?(clock_mode = Runtime.Measured)
             match Comm.collective_trace_mismatch shared with
             | Some msg -> raise (Errdefs.Usage_error msg)
             | None -> ())
-          (Comm.all_shared rt);
+          (Comm.all_shared world_shared);
       (* Sanitizer teardown scan (leaked requests, collective counts) —
          only meaningful for runs no rank of which was killed. *)
       if !killed = [] && Check.enabled rt.Runtime.check then

@@ -50,7 +50,7 @@ type 'a shared = {
   exposures : 'a array array;  (* world rank -> exposed local array *)
   pending : (int * 'a op) list ref;  (* (origin world rank, op), reversed *)
   locks : lock_state array;  (* world rank -> passive-target lock *)
-  key : int * int * int;  (* registry key, for unregistration at free *)
+  gen : int;  (* window generation on its communicator, for removal at free *)
   mutable fences : int;  (* completed fence epochs *)
   mutable freed_count : int;  (* ranks that completed [free] *)
 }
@@ -64,46 +64,25 @@ type 'a t = {
   mutable freed : bool;
 }
 
-(* Registry so that all ranks share one window state per creation site.
-   Keyed by (runtime id, context, creation sequence).  The [Obj.t]
-   erasure is sound because window creation is collective and ends in a
-   barrier: every rank's k-th [create] on a communicator instantiates the
-   same window with the same element type, so all readers of a key agree
-   on 'a.  Entries are removed by the last rank through [free], and a
-   context's creation counter is reclaimed once none of its windows
-   remain — a long-running sim creating and freeing windows holds no
-   residual global state. *)
-let registry : (int * int * int, Obj.t) Hashtbl.t = Hashtbl.create 16
-
-let creation_counter : (int * int, int ref) Hashtbl.t = Hashtbl.create 16
-
-(* Registry footprint (live windows, tracked contexts); tests assert it
-   returns to its baseline after create/free cycles. *)
-let registry_stats () = (Hashtbl.length registry, Hashtbl.length creation_counter)
-
 (* Create a window exposing [local].  Collective.  The arrays stay owned
    by their ranks; remote access goes through the window operations. *)
 let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
   Comm.check_collective comm ~op:"win_create" ~root:(-1) ~ty:"";
   Runtime.record (Comm.runtime comm) ~op:"win_create" ~bytes:0;
   let rt = Comm.runtime comm in
-  let ckey = (rt.Runtime.id, Comm.context comm) in
+  (* All ranks share one window state per creation, kept in the
+     communicator's window table under this handle's window generation.
+     The [Obj.t] erasure is sound because window creation is collective
+     and ends in a barrier: every rank's k-th [create] on a communicator
+     instantiates the same window with the same element type, so all
+     readers of a generation agree on 'a.  The first arriver allocates the
+     record; the last rank through [free] removes it, and a run that never
+     frees drops the table with its communicators. *)
+  let gen = comm.Comm.my_win_gen in
+  comm.Comm.my_win_gen <- gen + 1;
+  let cs = comm.Comm.shared in
   let shared =
-    let counter =
-      match Hashtbl.find_opt creation_counter ckey with
-      | Some c -> c
-      | None ->
-          let c = ref 0 in
-          Hashtbl.replace creation_counter ckey c;
-          c
-    in
-    (* Each rank bumps its own view of the counter; since creation is
-       collective and deterministic, all ranks agree on the sequence
-       number.  The first arriver allocates the shared record. *)
-    let seq = !counter / Comm.size comm in
-    incr counter;
-    let key = (rt.Runtime.id, Comm.context comm, seq) in
-    match Hashtbl.find_opt registry key with
+    match List.assoc_opt gen cs.Comm.windows with
     | Some s -> (Obj.obj s : 'a shared)
     | None ->
         let s =
@@ -111,12 +90,12 @@ let create (comm : Comm.t) (dt : 'a Datatype.t) (local : 'a array) : 'a t =
             exposures = Array.make rt.Runtime.size [||];
             pending = ref [];
             locks = Array.init rt.Runtime.size (fun _ -> { excl = false; holders = 0 });
-            key;
+            gen;
             fences = 0;
             freed_count = 0;
           }
         in
-        Hashtbl.replace registry key (Obj.repr s);
+        cs.Comm.windows <- (gen, Obj.repr s) :: cs.Comm.windows;
         s
   in
   shared.exposures.(Comm.world_rank comm) <- local;
@@ -320,10 +299,7 @@ let with_locked ?exclusive (t : 'a t) ~target (f : unit -> 'b) : 'b =
 let local (t : 'a t) : 'a array = t.shared.exposures.(Comm.world_rank t.comm)
 
 (* Free the window.  Collective.  The last rank through the barrier
-   removes the window from the global registry, and reclaims the
-   context's creation counter once no other window of that context
-   remains (satellite bugfix: entries used to leak for the process
-   lifetime). *)
+   removes the window from its communicator's window table. *)
 let free (t : 'a t) : unit =
   check_not_freed t ~op:"win_free";
   if t.lock_target >= 0 then
@@ -334,10 +310,6 @@ let free (t : 'a t) : unit =
   Coll.barrier t.comm;
   t.shared.freed_count <- t.shared.freed_count + 1;
   if t.shared.freed_count = Comm.size t.comm then begin
-    Hashtbl.remove registry t.shared.key;
-    let rid, ctx, _ = t.shared.key in
-    let any_left =
-      Hashtbl.fold (fun (r, c, _) _ acc -> acc || (r = rid && c = ctx)) registry false
-    in
-    if not any_left then Hashtbl.remove creation_counter (rid, ctx)
+    let cs = t.comm.Comm.shared in
+    cs.Comm.windows <- List.remove_assoc t.shared.gen cs.Comm.windows
   end

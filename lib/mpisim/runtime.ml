@@ -31,7 +31,6 @@ type metrics = {
 }
 
 type t = {
-  id : int;  (* unique per runtime; keys global registries *)
   size : int;
   model : Net_model.t;
   clock_mode : clock_mode;
@@ -88,8 +87,6 @@ type t = {
 
 exception Process_killed of int
 
-let next_runtime_id = ref 0
-
 (* Default sanitizer level: the MPISIM_CHECK environment variable
    (off|light|heavy), so any program can be checked without a code or CLI
    change.  Unset or unparsable means Off. *)
@@ -106,8 +103,6 @@ let default_check_level () =
 let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~model
     ~size () =
   if size <= 0 then invalid_arg "Runtime.create: size must be positive";
-  let id = !next_runtime_id in
-  incr next_runtime_id;
   let clocks = Array.make size 0. in
   let stats = Stats.create () in
   let metrics =
@@ -136,7 +131,6 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
         | None -> None)
   in
   {
-    id;
     size;
     model;
     clock_mode;

@@ -23,7 +23,6 @@ type metrics = {
 }
 
 type t = {
-  id : int;  (** unique per runtime; keys global registries *)
   size : int;
   model : Net_model.t;
   clock_mode : clock_mode;

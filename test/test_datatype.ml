@@ -430,6 +430,63 @@ let test_run_kernels_allocate_nothing () =
   check "int" Datatype.int (Array.init 4096 (fun i -> (i * 7919) - 1_000_000));
   check "float" Datatype.float (Array.init 4096 (fun i -> float_of_int i /. 7.))
 
+(* --- commit/free lifecycle: state lives in the type ---
+
+   A derived type's commit state is part of the type, so a type that is no
+   longer referenced leaves nothing behind once freed. *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_freed_types_leave_heap_flat () =
+  let n = 100_000 in
+  let cycle () = Datatype.with_committed (Datatype.pair Datatype.int Datatype.int) ignore in
+  cycle ();
+  let before = Datatype.live_derived_count () in
+  let w0 = live_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let per_type = float_of_int (live_words () - w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words per freed type (%.3f)" per_type)
+    true (per_type < 1.);
+  Alcotest.(check int) "no live derived types" before (Datatype.live_derived_count ())
+
+let test_without_bulk_shares_commit_state () =
+  let dt = Datatype.pair Datatype.int Datatype.int in
+  let copy = Datatype.without_bulk dt in
+  Alcotest.(check bool) "copy starts uncommitted" false (Datatype.is_committed copy);
+  Datatype.commit dt;
+  Alcotest.(check bool) "commit original: copy committed" true (Datatype.is_committed copy);
+  let live = Datatype.live_derived_count () in
+  Datatype.free copy;
+  Alcotest.(check bool) "free copy: original freed" false (Datatype.is_committed dt);
+  Alcotest.(check int) "one free, one fewer live type" (live - 1)
+    (Datatype.live_derived_count ());
+  Alcotest.check_raises "original already freed"
+    (Invalid_argument "Datatype.free: double free: pair(int,int)") (fun () ->
+      Datatype.free dt)
+
+(* [is_committed] runs on every send at assertion level >= 1. *)
+let test_is_committed_allocates_nothing () =
+  let derived = Datatype.pair Datatype.int Datatype.float in
+  Datatype.commit derived;
+  let per_call (type a) (dt : a Datatype.t) =
+    let calls = 10_000 in
+    let words, () =
+      allocated_words (fun () ->
+          for _ = 1 to calls do
+            ignore (Sys.opaque_identity (Datatype.is_committed (Sys.opaque_identity dt)))
+          done)
+    in
+    words /. float_of_int calls
+  in
+  Alcotest.(check (float 0.)) "builtin" 0. (per_call Datatype.int);
+  Alcotest.(check (float 0.)) "derived" 0. (per_call derived);
+  Datatype.free derived
+
 let test_gapped_vs_blob_sizes () =
   let gapped =
     Datatype.record3_with_gaps "gap_t"
@@ -464,6 +521,12 @@ let tests =
     Alcotest.test_case "bulk kernel dispatch" `Quick test_bulk_dispatch;
     qtest prop_bulk_equals_general;
     Alcotest.test_case "run kernels allocate nothing" `Quick test_run_kernels_allocate_nothing;
+    Alcotest.test_case "freed types leave heap flat" `Quick
+      test_freed_types_leave_heap_flat;
+    Alcotest.test_case "without_bulk shares commit state" `Quick
+      test_without_bulk_shares_commit_state;
+    Alcotest.test_case "is_committed allocates nothing" `Quick
+      test_is_committed_allocates_nothing;
     qtest prop_record_roundtrip;
     qtest prop_pair_roundtrip;
     qtest prop_triple_roundtrip;

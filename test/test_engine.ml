@@ -178,6 +178,52 @@ let test_timer_misuse_rejected () =
          | () -> Alcotest.fail "expected Usage_error"
          | exception Errdefs.Usage_error _ -> ()))
 
+(* --- run hygiene ---
+
+   A run owns everything it creates: once it has raised, nothing it built
+   stays reachable.  Each case aborts 200 two-rank runs at the same point
+   and checks that the live heap after a full major collection grew by
+   less than one word per run. *)
+
+exception Planted
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let words_left_per_run body =
+  let runs = 200 in
+  let once () =
+    match Engine.run ~clock_mode:Runtime.Virtual_only ~ranks:2 body with
+    | _ -> Alcotest.fail "expected abort"
+    | exception Scheduler.Aborted { exn = Planted; _ } -> ()
+  in
+  once ();
+  let w0 = live_words () in
+  for _ = 1 to runs do
+    once ()
+  done;
+  float_of_int (live_words () - w0) /. float_of_int runs
+
+(* Rank 0 parks inside [agree] waiting for rank 1, which raises. *)
+let test_no_residue_after_agree_abort () =
+  let w =
+    words_left_per_run (fun comm ->
+        if Comm.rank comm = 0 then ignore (Comm_ops.agree comm true) else raise Planted)
+  in
+  Alcotest.(check bool) (Printf.sprintf "live words per run (%.2f)" w) true (w < 1.)
+
+(* Both ranks create a window; rank 0 raises before anyone frees it. *)
+let test_no_residue_after_open_window () =
+  let w =
+    words_left_per_run (fun comm ->
+        let win = Rma.create comm Datatype.int (Array.make 4 0) in
+        if Comm.rank comm = 0 then raise Planted;
+        Rma.fence win;
+        Rma.free win)
+  in
+  Alcotest.(check bool) (Printf.sprintf "live words per run (%.2f)" w) true (w < 1.)
+
 let tests =
   [
     Alcotest.test_case "clocks monotone" `Quick test_clocks_monotone;
@@ -194,6 +240,10 @@ let tests =
     Alcotest.test_case "custom error handler" `Quick test_custom_error_handler;
     Alcotest.test_case "timer aggregate" `Quick test_timer_aggregate;
     Alcotest.test_case "timer misuse rejected" `Quick test_timer_misuse_rejected;
+    Alcotest.test_case "no residue after agree abort" `Quick
+      test_no_residue_after_agree_abort;
+    Alcotest.test_case "no residue after open window" `Quick
+      test_no_residue_after_open_window;
   ]
 
 let () = Alcotest.run "engine" [ ("engine", tests) ]

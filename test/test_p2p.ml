@@ -459,8 +459,8 @@ let arrived_words_per_msg () =
 let test_pingpong_allocation () =
   let w = pingpong_words_per_msg () in
   Alcotest.(check bool)
-    (Printf.sprintf "1-int ping-pong allocates <= 140 words per message (%.1f)" w)
-    true (w <= 140.)
+    (Printf.sprintf "1-int ping-pong allocates <= 133 words per message (%.1f)" w)
+    true (w <= 133.)
 
 let test_arrived_recv_allocates_less () =
   let parked = pingpong_words_per_msg () in

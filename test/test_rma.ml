@@ -112,24 +112,49 @@ let test_multiple_windows () =
   Alcotest.(check (pair int int)) "windows independent" (7, 8) results.(1)
 
 (* ------------------------------------------------------------------ *)
-(* Regression: free must unregister the shared state (it used to leak
-   one registry entry per window, and the creation counter forever). *)
+(* Freed windows leave no state behind, across runs and inside one run. *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let create_free_cycle comm =
+  let w1 = Rma.create comm Datatype.int (Array.make 2 0) in
+  let w2 = Rma.create comm Datatype.int (Array.make 2 0) in
+  Rma.fence w1;
+  Rma.fence w2;
+  Rma.free w1;
+  Rma.free w2
 
 let test_registry_reclaimed () =
-  let live0, ctx0 = Rma.registry_stats () in
-  for _ = 1 to 3 do
-    ignore
-      (Engine.run_values ~ranks:4 (fun comm ->
-           let w1 = Rma.create comm Datatype.int (Array.make 2 0) in
-           let w2 = Rma.create comm Datatype.int (Array.make 2 0) in
-           Rma.fence w1;
-           Rma.fence w2;
-           Rma.free w1;
-           Rma.free w2))
+  let cycles = 300 in
+  let run () = ignore (Engine.run_values ~ranks:4 create_free_cycle) in
+  run ();
+  let w0 = live_words () in
+  for _ = 1 to cycles do
+    run ()
   done;
-  let live1, ctx1 = Rma.registry_stats () in
-  Alcotest.(check int) "no leaked windows" live0 live1;
-  Alcotest.(check int) "no leaked creation counters" ctx0 ctx1
+  let across = float_of_int (live_words () - w0) /. float_of_int cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words per run flat (%.2f)" across)
+    true (across < 1.);
+  (* Inside one run, a table that never dropped freed windows would only
+     be reclaimed with the run; measure between cycles instead. *)
+  let within = ref infinity in
+  ignore
+    (Engine.run_values ~ranks:2 (fun comm ->
+         for _ = 1 to 10 do
+           create_free_cycle comm
+         done;
+         let w0 = live_words () in
+         for _ = 1 to cycles do
+           create_free_cycle comm
+         done;
+         if Comm.rank comm = 0 then
+           within := float_of_int (live_words () - w0) /. float_of_int cycles));
+  Alcotest.(check bool)
+    (Printf.sprintf "live words per in-run cycle flat (%.2f)" !within)
+    true (!within < 1.)
 
 (* Regression: gets must charge the promised round trip at the closing
    fence (they used to move no clock at all). *)
