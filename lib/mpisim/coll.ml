@@ -151,8 +151,8 @@ let barrier comm = traced comm ~op:"barrier" (fun () -> barrier comm)
    latest entry clock plus a modelled dissemination term. *)
 let ibarrier comm =
   prologue comm ~op:"ibarrier" ~root:(-1) ~ty:"";
-  record comm ~op:"ibarrier" ~bytes:0;
   let rt = Comm.runtime comm in
+  Runtime.record_prepared rt rt.Runtime.prof_ibarrier ~bytes:0;
   let n = Comm.size comm in
   let me = Comm.world_rank comm in
   let shared = comm.Comm.shared in

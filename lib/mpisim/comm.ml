@@ -7,8 +7,9 @@
    member ranks — mirroring how an MPI implementation keeps communicator
    state per process but semantically shared.
 
-   Tag space: user tags are 0..[max_user_tag]; tags above that are reserved
-   for the internal messages of collective algorithms. *)
+   Tag space: user tags are 0..[max_user_tag]; tags above that, up to
+   [Mailbox.max_tag], are reserved for the internal messages of collective
+   algorithms. *)
 
 let max_user_tag = (1 lsl 20) - 1
 

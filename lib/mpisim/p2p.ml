@@ -19,6 +19,15 @@ let any_tag = Mailbox.any_tag
 (* Internal tag space for collective algorithms. *)
 let internal_tag op_id = Comm.max_user_tag + 1 + op_id
 
+(* A message carries a tag in [0, Mailbox.max_tag]: a user tag or an
+   internal one.  The mailbox packs (source, tag) into one int key, so a
+   larger tag would alias another source's key.  Receives and probes may
+   also name [any_tag]. *)
+let check_tag tag =
+  if tag < 0 || tag > Mailbox.max_tag then Errdefs.usage_error "invalid tag %d" tag
+
+let check_recv_tag tag = if tag <> any_tag then check_tag tag
+
 let check_alive_self comm = Runtime.check_alive (Comm.runtime comm) (Comm.world_rank comm)
 
 let check_dest_alive comm ~op dest =
@@ -85,6 +94,7 @@ let inject_message comm (dt : 'a Datatype.t) ~op ~dest ~tag ~sync (data : 'a arr
     ~sync
 
 let send_range_impl comm dt ~dest ~tag data ~pos ~count =
+  check_tag tag;
   Comm.check_rank comm dest;
   let msg = inject_message comm dt ~op:"send" ~dest ~tag ~sync:false data ~pos ~count in
   Runtime.record_send (Comm.runtime comm) ~bytes:(Message.bytes msg)
@@ -114,18 +124,15 @@ let issend_request comm (msg : Message.t) =
         ~bytes:(Message.bytes msg))
     ~describe:(fun () -> Format.asprintf "issend %a" Message.pp msg)
 
-(* Inject a synchronous message and record it under [op]. *)
+(* Inject a synchronous message; the caller records it. *)
 let inject_sync comm dt ~op ~dest ~tag data =
   Comm.check_user_tag comm tag;
   Comm.check_rank comm dest;
-  let msg =
-    inject_message comm dt ~op ~dest ~tag ~sync:true data ~pos:0 ~count:(Array.length data)
-  in
-  Runtime.record (Comm.runtime comm) ~op ~bytes:(Message.bytes msg);
-  msg
+  inject_message comm dt ~op ~dest ~tag ~sync:true data ~pos:0 ~count:(Array.length data)
 
 let ssend_impl comm dt ~dest ~tag (data : 'a array) =
   let msg = inject_sync comm dt ~op:"ssend" ~dest ~tag data in
+  Runtime.record (Comm.runtime comm) ~op:"ssend" ~bytes:(Message.bytes msg);
   let chk = checker comm in
   if Check.enabled chk then
     Check.set_waiting chk ~rank:(Comm.world_rank comm)
@@ -161,6 +168,8 @@ let isend comm dt ~dest ?(tag = 0) (data : 'a array) =
 
 let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
   let msg = inject_sync comm dt ~op:"issend" ~dest ~tag data in
+  let rt = Comm.runtime comm in
+  Runtime.record_prepared rt rt.Runtime.prof_issend ~bytes:(Message.bytes msg);
   let req = issend_request comm msg in
   let chk = checker comm in
   if Check.enabled chk then
@@ -173,7 +182,9 @@ let issend comm dt ~dest ?(tag = 0) (data : 'a array) =
 let my_mailbox comm =
   (Comm.runtime comm).Runtime.mailboxes.(Comm.world_rank comm)
 
-let source_world comm source =
+(* Check a receive pattern and translate its source to a world rank. *)
+let source_world comm ~source ~tag =
+  check_recv_tag tag;
   if source = any_source then any_source
   else begin
     Comm.check_rank comm source;
@@ -308,7 +319,7 @@ let complete_matched comm dt ~op (msg : Message.t) =
 let recv_impl comm (dt : 'a Datatype.t) ~source ~tag : 'a array * Status.t =
   check_alive_self comm;
   let rt = Comm.runtime comm in
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let p = post_recv comm ~src_world ~tag in
   let msg = take_matched comm ~op:"recv" ~src_world p in
   complete_matched comm dt ~op:"recv" msg;
@@ -336,7 +347,7 @@ let recv_into_impl comm (dt : 'a Datatype.t) ~source ~tag ~pos ~maxcount (into :
   check_alive_self comm;
   let maxcount = check_recv_range ~op:"recv_into" into ~pos ~maxcount in
   let rt = Comm.runtime comm in
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let p = post_recv comm ~src_world ~tag in
   let msg = take_matched comm ~op:"recv" ~src_world p in
   if msg.Message.count > maxcount then
@@ -387,7 +398,7 @@ let irecv_into comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
   check_alive_self comm;
   let maxcount = check_recv_range ~op:"irecv" into ~pos ~maxcount in
   let rt = Comm.runtime comm in
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let p = post_recv comm ~src_world ~tag in
   posted_request comm ~src_world ~kind:"irecv" p
     ~describe:(fun () ->
@@ -412,8 +423,8 @@ let find_unexpected comm ~src_world ~tag =
 let iprobe comm ?(source = any_source) ?(tag = any_tag) () : Status.t option =
   check_alive_self comm;
   let rt = Comm.runtime comm in
-  Runtime.record rt ~op:"iprobe" ~bytes:0;
-  let src_world = source_world comm source in
+  Runtime.record_prepared rt rt.Runtime.prof_iprobe ~bytes:0;
+  let src_world = source_world comm ~source ~tag in
   match find_unexpected comm ~src_world ~tag with
   | None -> None
   | Some msg ->
@@ -425,7 +436,7 @@ let probe_impl comm ~source ~tag : Status.t =
   check_alive_self comm;
   let rt = Comm.runtime comm in
   Runtime.record rt ~op:"probe" ~bytes:0;
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let msg =
     match find_unexpected comm ~src_world ~tag with
     | Some m -> m
@@ -466,6 +477,7 @@ let blob_signature bytes_len = Signature.of_base ~count:bytes_len Signature.Blob
    into a pooled wire buffer, so the path allocates nothing once the pool
    is warm. *)
 let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
+  check_tag tag;
   Comm.check_rank comm dest;
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
@@ -485,7 +497,7 @@ let send_bytes comm ~dest ?(tag = 0) (payload : Bytes.t) =
 let recv_bytes_impl comm ~source ~tag : Bytes.t * Status.t =
   check_alive_self comm;
   let rt = Comm.runtime comm in
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let p = post_recv comm ~src_world ~tag in
   let msg = take_matched comm ~op:"recv" ~src_world p in
   Runtime.complete_receive rt (Comm.world_rank comm) msg;
@@ -510,7 +522,7 @@ let irecv_dyn comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag) 
     'a dyn_request =
   check_alive_self comm;
   let rt = Comm.runtime comm in
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let p = post_recv comm ~src_world ~tag in
   let cell = ref None in
   let base =
@@ -593,7 +605,7 @@ let recv_init comm (dt : 'a Datatype.t) ?(source = any_source) ?(tag = any_tag)
     Errdefs.usage_error "recv_init: datatype %s is not committed" (Datatype.name dt);
   let rt = Comm.runtime comm in
   let me = Comm.world_rank comm in
-  let src_world = source_world comm source in
+  let src_world = source_world comm ~source ~tag in
   let prep = Profiling.prepare rt.Runtime.profile "recv" in
   let posted : Mailbox.posted option ref = ref None in
   let start () =

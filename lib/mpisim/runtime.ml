@@ -51,6 +51,9 @@ type t = {
      profile lists exactly the ops that ran. *)
   prof_send : Profiling.prepared Lazy.t;
   prof_recv : Profiling.prepared Lazy.t;
+  prof_iprobe : Profiling.prepared Lazy.t;
+  prof_issend : Profiling.prepared Lazy.t;
+  prof_ibarrier : Profiling.prepared Lazy.t;
   stats : Stats.t;
   trace : Trace.t;
   check : Check.t;
@@ -89,16 +92,19 @@ exception Process_killed of int
 
 (* Default sanitizer level: the MPISIM_CHECK environment variable
    (off|light|heavy), so any program can be checked without a code or CLI
-   change.  Unset or unparsable means Off. *)
-let default_check_level () =
-  match Sys.getenv_opt "MPISIM_CHECK" with
-  | None -> Check.Off
-  | Some s -> (
-      match Check.level_of_string (String.lowercase_ascii (String.trim s)) with
-      | Some l -> l
-      | None ->
-          Log.warn (fun f -> f "ignoring invalid MPISIM_CHECK=%S (want off|light|heavy)" s);
-          Check.Off)
+   change.  Unset or unparsable means Off.  Read once per process, on the
+   first run: a cold scan of the environment costs a few microseconds,
+   a quarter of a small run's setup. *)
+let default_check_level =
+  lazy
+    (match Sys.getenv_opt "MPISIM_CHECK" with
+    | None -> Check.Off
+    | Some s -> (
+        match Check.level_of_string (String.lowercase_ascii (String.trim s)) with
+        | Some l -> l
+        | None ->
+            Log.warn (fun f -> f "ignoring invalid MPISIM_CHECK=%S (want off|light|heavy)" s);
+            Check.Off))
 
 let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~model
     ~size () =
@@ -119,7 +125,7 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
   let trace = Trace.create ~clocks in
   let check = Check.create ~stats ~trace ~size () in
   Check.set_level check
-    (match check_level with Some l -> l | None -> default_check_level ());
+    (match check_level with Some l -> l | None -> Lazy.force default_check_level);
   let chaos =
     match chaos with
     | Some cfg -> Some (Chaos.create ~size ~model ~stats ~trace cfg)
@@ -143,6 +149,9 @@ let create ?(clock_mode = Measured) ?(assertion_level = 1) ?check_level ?chaos ~
     profile;
     prof_send = lazy (Profiling.prepare profile "send");
     prof_recv = lazy (Profiling.prepare profile "recv");
+    prof_iprobe = lazy (Profiling.prepare profile "iprobe");
+    prof_issend = lazy (Profiling.prepare profile "issend");
+    prof_ibarrier = lazy (Profiling.prepare profile "ibarrier");
     stats;
     trace;
     check;
@@ -448,13 +457,13 @@ let record t ~op ~bytes = Profiling.record t.profile ~op ~bytes
 
 (* Checking [enabled] before forcing keeps a disabled profile from
    listing the op, as [record] does. *)
-let record_send t ~bytes =
+let record_prepared t prep ~bytes =
   if Profiling.enabled t.profile then
-    Profiling.record_prepared t.profile (Lazy.force t.prof_send) ~bytes
+    Profiling.record_prepared t.profile (Lazy.force prep) ~bytes
 
-let record_recv t ~bytes =
-  if Profiling.enabled t.profile then
-    Profiling.record_prepared t.profile (Lazy.force t.prof_recv) ~bytes
+let record_send t ~bytes = record_prepared t t.prof_send ~bytes
+
+let record_recv t ~bytes = record_prepared t t.prof_recv ~bytes
 
 (* Wall-clock park duration, reported by the engine's scheduler hooks. *)
 let observe_park_wait t seconds = Stats.observe t.metrics.park_wait seconds

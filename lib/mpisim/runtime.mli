@@ -41,6 +41,11 @@ type t = {
       (** [profile]'s handles for op ["send"], resolved on first use so
           the PMPI summary lists only ops that ran *)
   prof_recv : Profiling.prepared Lazy.t;  (** the same for op ["recv"] *)
+  prof_iprobe : Profiling.prepared Lazy.t;
+      (** the same for ["iprobe"], ["issend"] and ["ibarrier"], the NBX
+          polling loop's ops *)
+  prof_issend : Profiling.prepared Lazy.t;
+  prof_ibarrier : Profiling.prepared Lazy.t;
   stats : Stats.t;  (** metrics registry; also backs [profile] *)
   trace : Trace.t;  (** event recorder; disabled unless enabled explicitly *)
   check : Check.t;  (** correctness sanitizer; inert at level [Off] *)
@@ -181,8 +186,11 @@ val complete_receive : t -> int -> Message.t -> unit
 
 val record : t -> op:string -> bytes:int -> unit
 
-(** [record t ~op:"send"] and [record t ~op:"recv"] through the
-    pre-resolved handles: no op-name hashing on the message path. *)
+(** [record] through pre-resolved handles such as [t.prof_iprobe]: no
+    op-name hashing on the message path. *)
+val record_prepared : t -> Profiling.prepared Lazy.t -> bytes:int -> unit
+
+(** [record_prepared] on [t.prof_send] and [t.prof_recv]. *)
 val record_send : t -> bytes:int -> unit
 
 val record_recv : t -> bytes:int -> unit

@@ -131,7 +131,34 @@ let test_invalid_tag_rejected () =
             if Comm.rank comm = 0 then
               P2p.send comm Datatype.int ~dest:1 ~tag:(-3) [| 1 |]))
    with Scheduler.Aborted { exn = Errdefs.Usage_error _; _ } -> caught := true);
-  Alcotest.(check bool) "negative tag rejected" true !caught
+  Alcotest.(check bool) "negative tag rejected" true !caught;
+  (* Receives and probes take tags in [0, Mailbox.max_tag] or any_tag.
+     The mailbox packs (source, tag) into one key, so without the check a
+     receive from source 0 with this tag would match source 1's tag 7. *)
+  let aliased = Mailbox.max_tag + 1 + 7 in
+  let rejected = ref [] and kept = ref [||] in
+  ignore
+    (Engine.run ~ranks:2 (fun comm ->
+         if Comm.rank comm = 1 then begin
+           P2p.send comm Datatype.int ~dest:1 ~tag:7 [| 42 |];
+           let attempt name f =
+             match f () with
+             | () -> ()
+             | exception Errdefs.Usage_error _ -> rejected := name :: !rejected
+           in
+           attempt "recv" (fun () ->
+               ignore (P2p.recv comm Datatype.int ~source:0 ~tag:aliased ()));
+           attempt "irecv" (fun () ->
+               ignore (P2p.irecv_into comm Datatype.int ~source:0 ~tag:aliased [| 0 |]));
+           attempt "iprobe" (fun () -> ignore (P2p.iprobe comm ~source:0 ~tag:aliased ()));
+           attempt "probe" (fun () -> ignore (P2p.probe comm ~source:0 ~tag:aliased ()));
+           attempt "recv -3" (fun () ->
+               ignore (P2p.recv comm Datatype.int ~source:1 ~tag:(-3) ()));
+           kept := fst (P2p.recv comm Datatype.int ~source:1 ~tag:7 ())
+         end));
+  Alcotest.(check (list string)) "out-of-range receive and probe tags rejected"
+    [ "recv"; "irecv"; "iprobe"; "probe"; "recv -3" ] (List.rev !rejected);
+  Alcotest.(check (array int)) "source 1's message still there" [| 42 |] !kept
 
 let test_invalid_rank_rejected () =
   let caught = ref false in
@@ -311,22 +338,208 @@ let test_mailbox_unexpected_reclaim () =
     if Mailbox.find_unexpected mb ~context:0 ~src:i ~tag:i = None then
       Alcotest.fail "delivered message not found"
   done;
-  Alcotest.(check int) "drained keys reclaimed" 0 (Mailbox.unexpected_key_count mb);
-  Alcotest.(check int) "no unexpected left" 0 (Mailbox.unexpected_depth mb)
+  Alcotest.(check int) "drained keys kept for reuse" 10 (Mailbox.unexpected_key_count mb);
+  Alcotest.(check int) "no unexpected left" 0 (Mailbox.unexpected_depth mb);
+  (* Bound: at most [Mailbox.idle_cap] (64) drained keys per context, so
+     2,000 distinct keys over two contexts leave at most 128 entries. *)
+  for i = 0 to 1999 do
+    let context = i land 1 in
+    ignore (Mailbox.deliver mb (mk_msg ~context ~src:i ~tag:(i mod 5) ~seq:(10 + i) ()));
+    if Mailbox.find_unexpected mb ~context ~src:i ~tag:(i mod 5) = None then
+      Alcotest.fail "delivered message not found"
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "drained keys bounded (%d <= 128)" (Mailbox.unexpected_key_count mb))
+    true
+    (Mailbox.unexpected_key_count mb <= 2 * Mailbox.idle_cap)
 
-let test_mailbox_posted_tombstone_bound () =
+let posted_ids mb =
+  let ids = ref [] in
+  Mailbox.iter_posted mb (fun p -> ids := p.Mailbox.p_id :: !ids);
+  List.rev !ids
+
+let test_mailbox_posted_list_live () =
   let mb = Mailbox.create () in
-  (* A long-lived receive parked at the front stops front-pruning, so the
-     bound must come from compaction. *)
   let keep = Mailbox.post mb ~context:0 ~src:99 ~tag:99 ~now:0. in
   for i = 0 to 199 do
     let p = Mailbox.post mb ~context:0 ~src:1 ~tag:(i mod 7) ~now:0. in
     Mailbox.cancel mb p
   done;
-  Alcotest.(check int) "one live posted recv" 1 (Mailbox.posted_depth mb);
-  Alcotest.(check bool) "tombstones compacted away" true
-    (Mailbox.posted_physical_length mb <= 32);
-  Mailbox.cancel mb keep
+  let matched = Mailbox.post mb ~context:0 ~src:2 ~tag:0 ~now:0. in
+  ignore (Mailbox.deliver mb (mk_msg ~src:2 ~tag:0 ~seq:0 ()));
+  Alcotest.(check (list int)) "matched receive stays until retired"
+    [ keep.Mailbox.p_id; matched.Mailbox.p_id ] (posted_ids mb);
+  Mailbox.retire mb matched;
+  Mailbox.retire mb matched;
+  Alcotest.(check (list int)) "only the live receive" [ keep.Mailbox.p_id ] (posted_ids mb);
+  Alcotest.(check int) "depth counts it" 1 (Mailbox.posted_depth mb);
+  Mailbox.cancel mb keep;
+  Alcotest.(check (list int)) "empty" [] (posted_ids mb)
+
+(* A receive matched from the unexpected queue at [post] is never on the
+   posted list, so retiring it must leave the posted count at zero and
+   must not make later posted-first cycles allocate more. *)
+let test_mailbox_unexpected_first_no_residue () =
+  let mb = Mailbox.create () in
+  for i = 0 to 99 do
+    ignore (Mailbox.deliver mb (mk_msg ~src:1 ~tag:0 ~seq:i ()));
+    let p = Mailbox.post mb ~context:0 ~src:1 ~tag:0 ~now:0. in
+    Mailbox.retire mb p
+  done;
+  Alcotest.(check int) "posted depth after 100 unexpected-first receives" 0
+    (Mailbox.posted_depth mb);
+  let msgs = Array.init 1000 (fun i -> mk_msg ~src:1 ~tag:0 ~seq:(100 + i) ()) in
+  let cycle_words mb =
+    let w0 = Gc.minor_words () in
+    Array.iter
+      (fun m ->
+        let p = Mailbox.post mb ~context:0 ~src:1 ~tag:0 ~now:0. in
+        ignore (Mailbox.deliver mb m);
+        Mailbox.retire mb p)
+      msgs;
+    Gc.minor_words () -. w0
+  in
+  let fresh = cycle_words (Mailbox.create ()) in
+  let used = cycle_words mb in
+  Alcotest.(check bool)
+    (Printf.sprintf "posted-first cycle: %.1f words, fresh mailbox %.1f" (used /. 1000.)
+       (fresh /. 1000.))
+    true (used <= fresh)
+
+(* Differential check against a reference model: lists in arrival and
+   posting order, the oldest matching message by seq, the first matching
+   live receive in posting order. *)
+type model_recv = {
+  m_id : int;
+  m_ctx : int;
+  m_src : int;
+  m_tag : int;
+  mutable m_got : Message.t option;
+}
+
+type model = { mutable m_unexp : Message.t list; mutable m_live : model_recv list }
+
+let fits ~ctx ~src ~tag (m : Message.t) =
+  m.Message.context = ctx
+  && (src = Mailbox.any_source || m.Message.src = src)
+  && (tag = Mailbox.any_tag || m.Message.tag = tag)
+
+let model_find md ~ctx ~src ~tag ~remove =
+  match
+    List.sort
+      (fun (a : Message.t) b -> compare a.Message.seq b.Message.seq)
+      (List.filter (fits ~ctx ~src ~tag) md.m_unexp)
+  with
+  | [] -> None
+  | m :: _ ->
+      if remove then md.m_unexp <- List.filter (fun m' -> m' != m) md.m_unexp;
+      Some m
+
+let model_deliver md (m : Message.t) =
+  match
+    List.find_opt
+      (fun r -> r.m_got = None && fits ~ctx:r.m_ctx ~src:r.m_src ~tag:r.m_tag m)
+      md.m_live
+  with
+  | Some r ->
+      r.m_got <- Some m;
+      true
+  | None ->
+      md.m_unexp <- md.m_unexp @ [ m ];
+      false
+
+let model_post md ~id ~ctx ~src ~tag =
+  let r = { m_id = id; m_ctx = ctx; m_src = src; m_tag = tag; m_got = None } in
+  (match model_find md ~ctx ~src ~tag ~remove:true with
+  | Some m -> r.m_got <- Some m
+  | None -> md.m_live <- md.m_live @ [ r ]);
+  r
+
+type op =
+  | Deliver of int * int * int
+  | Post of int * int * int
+  | Cancel of int
+  | Retire of int
+  | Find of int * int * int * bool
+
+let print_op = function
+  | Deliver (c, s, t) -> Printf.sprintf "deliver(%d,%d,%d)" c s t
+  | Post (c, s, t) -> Printf.sprintf "post(%d,%d,%d)" c s t
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Retire i -> Printf.sprintf "retire %d" i
+  | Find (c, s, t, r) -> Printf.sprintf "find(%d,%d,%d,%b)" c s t r
+
+let arb_ops =
+  let open QCheck.Gen in
+  let ctx = int_bound 1 and pat = int_range (-1) 3 in
+  let op =
+    frequency
+      [
+        (3, map3 (fun c s t -> Deliver (c, s, t)) ctx (int_bound 3) (int_bound 3));
+        (3, map3 (fun c s t -> Post (c, s, t)) ctx pat pat);
+        (1, map (fun i -> Cancel i) nat);
+        (2, map (fun i -> Retire i) nat);
+        (1, map2 (fun (c, s) (t, r) -> Find (c, s, t, r)) (pair ctx pat) (pair pat bool));
+      ]
+  in
+  QCheck.make ~print:(QCheck.Print.list print_op) (list_size (int_range 1 80) op)
+
+let seq_of = Option.map (fun (m : Message.t) -> m.Message.seq)
+
+let prop_mailbox_matches_model =
+  QCheck.Test.make ~name:"mailbox: agrees with a list model" ~count:500 arb_ops (fun ops ->
+      let mb = Mailbox.create () in
+      let md = { m_unexp = []; m_live = [] } in
+      let handles = ref [] and seq = ref 0 and id = ref 0 in
+      (* The [i]th outstanding handle (mod their number) whose model
+         receive satisfies [want], removed from the outstanding set. *)
+      let pick i want =
+        match List.filter (fun (_, r) -> want r) !handles with
+        | [] -> None
+        | hs ->
+            let h = List.nth hs (i mod List.length hs) in
+            handles := List.filter (fun h' -> h' != h) !handles;
+            Some h
+      in
+      let agree = ref true in
+      let expect b = if not b then agree := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Deliver (c, s, t) ->
+              let m = mk_msg ~context:c ~src:s ~tag:t ~seq:!seq () in
+              incr seq;
+              expect (Mailbox.deliver mb m = model_deliver md m)
+          | Post (c, s, t) ->
+              let p = Mailbox.post mb ~context:c ~src:s ~tag:t ~now:0. in
+              let r = model_post md ~id:!id ~ctx:c ~src:s ~tag:t in
+              incr id;
+              expect (p.Mailbox.p_id = r.m_id);
+              handles := (p, r) :: !handles
+          | Cancel i -> (
+              match pick i (fun r -> r.m_got = None) with
+              | Some (p, r) ->
+                  Mailbox.cancel mb p;
+                  md.m_live <- List.filter (fun r' -> r' != r) md.m_live
+              | None -> ())
+          | Retire i -> (
+              match pick i (fun r -> r.m_got <> None) with
+              | Some (p, r) ->
+                  Mailbox.retire mb p;
+                  md.m_live <- List.filter (fun r' -> r' != r) md.m_live
+              | None -> ())
+          | Find (c, s, t, remove) ->
+              expect
+                (seq_of (Mailbox.find_unexpected ~remove mb ~context:c ~src:s ~tag:t)
+                = seq_of (model_find md ~ctx:c ~src:s ~tag:t ~remove)));
+          List.iter
+            (fun (p, r) -> expect (seq_of p.Mailbox.p_msg = seq_of r.m_got))
+            !handles;
+          expect (Mailbox.posted_depth mb = List.length md.m_live);
+          expect (Mailbox.unexpected_depth mb = List.length md.m_unexp);
+          expect (posted_ids mb = List.map (fun r -> r.m_id) md.m_live))
+        ops;
+      !agree)
 
 let test_mailbox_wildcard_oldest_across_keys () =
   let mb = Mailbox.create () in
@@ -433,8 +646,7 @@ let pingpong_words_per_msg () =
 
 (* Words per message when every receive finds its message already there:
    rank 0 sends them all (eager sends never park, so it runs to the end
-   first), then rank 1 receives them by exact (source, tag).  A wildcard
-   receive would also pay for the mailbox's scan over the context's keys. *)
+   first), then rank 1 receives them by exact (source, tag). *)
 let arrived_words_per_msg () =
   let w0 = ref 0. and words = ref 0. in
   ignore
@@ -459,8 +671,8 @@ let arrived_words_per_msg () =
 let test_pingpong_allocation () =
   let w = pingpong_words_per_msg () in
   Alcotest.(check bool)
-    (Printf.sprintf "1-int ping-pong allocates <= 133 words per message (%.1f)" w)
-    true (w <= 133.)
+    (Printf.sprintf "1-int ping-pong allocates <= 115 words per message (%.1f)" w)
+    true (w <= 115.)
 
 let test_arrived_recv_allocates_less () =
   let parked = pingpong_words_per_msg () in
@@ -493,8 +705,11 @@ let tests =
       test_mailbox_cancel_after_match_fails;
     Alcotest.test_case "mailbox: drained keys reclaimed" `Quick
       test_mailbox_unexpected_reclaim;
-    Alcotest.test_case "mailbox: tombstones bounded" `Quick
-      test_mailbox_posted_tombstone_bound;
+    Alcotest.test_case "mailbox: posted list holds the live receives" `Quick
+      test_mailbox_posted_list_live;
+    Alcotest.test_case "mailbox: unexpected-first receives leave no residue" `Quick
+      test_mailbox_unexpected_first_no_residue;
+    QCheck_alcotest.to_alcotest prop_mailbox_matches_model;
     Alcotest.test_case "mailbox: wildcard oldest across keys" `Quick
       test_mailbox_wildcard_oldest_across_keys;
     Alcotest.test_case "pingpong byte volume" `Quick test_pingpong_byte_volume;

@@ -70,6 +70,34 @@ let prop_nbx_delivers_multiset =
           List.sort compare results.(d) = expected)
         (Array.init p Fun.id))
 
+(* The NBX poll path records iprobe, issend and ibarrier through prepared
+   profiling handles; the PMPI summary must read as it did through
+   [Runtime.record]. *)
+let test_nbx_profile () =
+  let p = 6 in
+  let plan r =
+    List.filter_map
+      (fun d ->
+        if d <> r && (r + (2 * d)) mod 3 = 0 then Some (d, Array.make (d + 1) r) else None)
+      (List.init p Fun.id)
+  in
+  let report =
+    Engine.run ~clock_mode:Runtime.Virtual_only ~ranks:p (fun mpi ->
+        let comm = Kamping.Communicator.of_mpi mpi in
+        let outgoing = plan (Comm.rank mpi) in
+        ignore (Kamping_plugins.Sparse_alltoall.alltoallv comm Datatype.int outgoing))
+  in
+  Alcotest.(check (list (triple string int int)))
+    "ops, calls and bytes"
+    [
+      ("ibarrier", 6, 0);
+      ("iprobe", 24, 0);
+      ("issend", 6, 168);
+      ("recv", 6, 168);
+      ("sparse_alltoallv", 6, 0);
+    ]
+    report.Engine.profile
+
 (* --- sorter properties --- *)
 
 let prop_sorter_sorted_and_permutation =
@@ -174,6 +202,7 @@ let tests =
   [
     qtest prop_grid_equals_dense;
     qtest prop_nbx_delivers_multiset;
+    Alcotest.test_case "nbx profile via prepared handles" `Quick test_nbx_profile;
     qtest prop_sorter_sorted_and_permutation;
     qtest prop_repro_reduce_split_invariant;
     Alcotest.test_case "repro reduce exact on integers" `Quick
